@@ -3,8 +3,11 @@
 The projection coefficients c_k = <f, phi_k> are computed with a
 Gauss-Legendre rule whose exactness degree covers the basis; for smooth f
 over-integration makes the quadrature error negligible next to truncation.
+Rules, and the basis values at the nodes of the default rule, are memoized
+per size: both depend on the node count and the degree only.
 """
 
+from functools import lru_cache
 import math
 
 from .basis import eval_basis
@@ -17,7 +20,7 @@ class QuadratureError(RuntimeError):
 
 
 class EvaluationError(ValueError):
-    """A function callback produced a non-finite value."""
+    """A function callback produced a non-finite value or an arithmetic error."""
 
 
 class QuadratureRule:
@@ -31,8 +34,9 @@ class QuadratureRule:
         return len(self.nodes)
 
 
+@lru_cache(maxsize=None, typed=True)
 def gauss_legendre_rule(q):
-    """q-point Gauss-Legendre rule mapped to [0,1].
+    """q-point Gauss-Legendre rule mapped to [0,1], memoized per q.
 
     Nodes are found by Newton iteration on P_q starting from the Chebyshev
     angles, to |dx| <= 1e-15 within 100 iterations; exact for polynomials of
@@ -78,10 +82,35 @@ class ProjectionResult:
 
 
 def _eval_checked(f, x):
-    v = f(x)
+    """f(x), with a non-finite value or an arithmetic error raised as
+    EvaluationError naming the point."""
+    try:
+        v = f(x)
+    except ArithmeticError as exc:
+        raise EvaluationError(
+            "function raised %s at x=%.17g: %s" % (type(exc).__name__, x, exc)
+        ) from exc
     if not math.isfinite(v):
         raise EvaluationError("function evaluated to %r at x=%.17g" % (v, x))
     return v
+
+
+_default_tables = {}
+
+
+def _default_node_table(basis):
+    """(node, weight, phi values) of the default rule for degree basis.n.
+
+    The phi values come from the recurrence and depend on n alone, so one
+    table serves every basis of that degree; n <= 30 bounds the cache.
+    """
+    table = _default_tables.get(basis.n)
+    if table is None:
+        rule = gauss_legendre_rule(max(basis.n + 1, 32))
+        table = _default_tables[basis.n] = tuple(
+            (x, w, tuple(eval_basis(basis, x))) for x, w in zip(rule.nodes, rule.weights)
+        )
+    return table
 
 
 def project(f, basis, rule=None):
@@ -92,21 +121,21 @@ def project(f, basis, rule=None):
     sqrt(|f|^2 - sum c_k^2), clamped at zero.
     """
     if rule is None:
-        rule = gauss_legendre_rule(max(basis.n + 1, 32))
-    if 2 * len(rule.nodes) - 1 < 2 * basis.n:
+        table = _default_node_table(basis)
+    elif 2 * len(rule.nodes) - 1 < 2 * basis.n:
         raise ValueError(
             "rule with %d nodes is not exact to degree %d"
             % (len(rule.nodes), 2 * basis.n)
         )
+    else:
+        table = [(x, w, eval_basis(basis, x)) for x, w in zip(rule.nodes, rule.weights)]
     coeffs = [0.0] * (basis.n + 1)
     norm_sq = 0.0
-    for x, w in zip(rule.nodes, rule.weights):
+    for x, w, phix in table:
         fx = _eval_checked(f, x)
-        phix = eval_basis(basis, x)
         wf = w * fx
         norm_sq += wf * fx
-        for k in range(basis.n + 1):
-            coeffs[k] += wf * phix[k]
+        coeffs = [c + wf * v for c, v in zip(coeffs, phix)]
     remainder = norm_sq - sum(c * c for c in coeffs)
     return ProjectionResult(Vector(coeffs), math.sqrt(max(0.0, remainder)))
 

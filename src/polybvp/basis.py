@@ -109,6 +109,7 @@ class OrthonormalBasis:
         "integer_coeffs",
         "scale_sq",
         "exact_mono_rows",
+        "_float_rows",
     )
 
     def __init__(self, ivecs, scales):
@@ -141,6 +142,7 @@ class OrthonormalBasis:
                 for w, s in zip(row, self.scale_sq)
             ],
         )
+        self._float_rows = {}
 
     def _triangular_row(self, p):
         # Solve x^p = sum_k T[p][k] phi_k by exact back substitution against
@@ -178,10 +180,14 @@ class OrthonormalBasis:
         ]
 
     def projection_row(self, p):
-        return [
-            _radical_float(w, s)
-            for w, s in zip(self.projection_row_exact(p), self.scale_sq)
-        ]
+        """Floats <x^p, phi_k> as a tuple, memoized per p."""
+        row = self._float_rows.get(p)
+        if row is None:
+            row = self._float_rows[p] = tuple(
+                _radical_float(w, s)
+                for w, s in zip(self.projection_row_exact(p), self.scale_sq)
+            )
+        return row
 
 
 def _check_degree(n):

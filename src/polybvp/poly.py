@@ -109,12 +109,19 @@ def as_float(p):
 
 
 def compose_linear(p, a, b):
-    """The polynomial q(x) = p(a*x + b)."""
-    inner = Polynomial([b, a])
-    acc = Polynomial([p.coeffs[-1]])
+    """The polynomial q(x) = p(a*x + b), by Horner's scheme on a coefficient list."""
+    acc = [p.coeffs[-1]]
     for c in reversed(p.coeffs[:-1]):
-        acc = add(multiply(acc, inner), Polynomial([c]))
-    return acc
+        # acc * (b + a x) + c, terms added in ascending order of acc
+        nxt = [0] * (len(acc) + 1)
+        for i, v in enumerate(acc):
+            if v == 0:
+                continue
+            nxt[i] += v * b
+            nxt[i + 1] += v * a
+        nxt[0] += c
+        acc = nxt
+    return Polynomial(acc)
 
 
 @lru_cache(maxsize=None)

@@ -13,6 +13,15 @@ antidifferentiation of C^T phi (degree n+m), so imposed left conditions hold
 to round-off and the endpoint rows are consistent with the returned
 polynomial.
 
+The basis comes from the shifted-Legendre recurrence (legendre_basis), whose
+float view is bit-identical to the paper's Gram-Schmidt construction;
+Gram-Schmidt stays as the paper's route and the test oracle.  Quadrature
+rules, default-rule node tables and float projection rows are memoized per
+degree, and sum a_i (Theta^T)^(m-i) is formed through Theta's tridiagonal
+band.  The diagnostics fold L[y] = sum a_k y^(k) into one polynomial, so
+residual_max can differ from releases that evaluated each derivative
+separately; the solution itself does not.
+
 solve_paper_second_order keeps the closed-form second-order Dirichlet path
 (rank-one correction matrix L absorbing the boundary terms) as an internal
 oracle for the general assembly.
@@ -20,8 +29,8 @@ oracle for the general assembly.
 
 import math
 
-from .approx import project
-from .basis import gram_schmidt_basis
+from .approx import _eval_checked, project
+from .basis import legendre_basis
 from .linalg import (
     Matrix,
     SingularMatrixError,
@@ -36,7 +45,7 @@ from .linalg import (
     transpose,
 )
 from .opmatrix import build_theta
-from .poly import Polynomial, add, compose_linear, differentiate, integrate, scale
+from .poly import Polynomial, compose_linear, differentiate
 
 _SIDES = ("left", "right")
 
@@ -218,16 +227,32 @@ def assemble(p, basis, theta):
     m = p.order
     size = n + 1
 
-    tt = transpose(theta.theta)
+    # mc = sum_i a_i (Theta^T)^(m-i) on row lists.  Theta is tridiagonal, so
+    # row i of Theta^T is applied through its nonzeros Theta[k][i] in
+    # ascending k: each entry is the same floating-point sum as a dense
+    # product that skips zero factors.
+    theta_rows = theta.theta.to_rows()
+    band = [
+        [(k, theta_rows[k][i]) for k in range(size) if theta_rows[k][i] != 0.0]
+        for i in range(size)
+    ]
+    power = [[1.0 if i == j else 0.0 for j in range(size)] for i in range(size)]
     mc = None
-    power = identity(size)
     for i in range(m, -1, -1):
         ai = p.coefficients[i]
         if ai != 0.0:
-            term = mat_scale(power, ai)
-            mc = term if mc is None else mat_add(mc, term)
+            if mc is None:
+                mc = [[ai * v for v in row] for row in power]
+            else:
+                mc = [[x + ai * v for x, v in zip(acc, row)] for acc, row in zip(mc, power)]
         if i > 0:
-            power = mat_mul(tt, power)
+            nxt = []
+            for entries in band:
+                acc = [0.0] * size
+                for k, v in entries:
+                    acc = [s + v * b for s, b in zip(acc, power[k])]
+                nxt.append(acc)
+            power = nxt
 
     fixed, free, right = _gamma_split(p)
     cols = _monomial_columns(p, basis)
@@ -241,18 +266,16 @@ def assemble(p, basis, theta):
     rows = []
     rhs = []
     for k in range(size):
-        row = mc.row(k) + [cols[j][k] for j in free]
-        rows.append(row)
+        rows.append(mc[k] + [cols[j][k] for j in free])
         rhs.append(rho[k])
 
     # endpoint rows: y^(d)(1) = C.Theta^(m-d-1) e0 + sum_{j>=d} gamma_j/(j-d)!
-    e0 = Vector([1.0] + [0.0] * n)
+    ends = [[1.0] + [0.0] * n]  # ends[k] = Theta^k e0
     for bc in right:
         d = bc.derivative_order
-        w = e0
-        for _ in range(m - d - 1):
-            w = mat_vec(theta.theta, w)
-        row = list(w) + [
+        while len(ends) < m - d:
+            ends.append([sum(a * b for a, b in zip(r, ends[-1])) for r in theta_rows])
+        row = ends[m - d - 1] + [
             (1.0 / math.factorial(j - d) if j >= d else 0.0) for j in free
         ]
         val = bc.value
@@ -268,14 +291,16 @@ def assemble(p, basis, theta):
 
 def _reconstruct_mapped(c, gammas, basis, m):
     """Exact m-fold antiderivative of C^T phi plus the gamma polynomial."""
-    y = Polynomial([0.0])
+    y = [0.0] * (basis.n + 1)
     for ck, phi in zip(c, basis.phis):
         if ck:
-            y = add(y, scale(phi, ck))
+            for j, v in enumerate(phi.coeffs):
+                y[j] += ck * v
     for _ in range(m):
-        y = integrate(y)
-    tail = [g / math.factorial(j) for j, g in enumerate(gammas)]
-    return add(y, Polynomial(tail if tail else [0.0]))
+        y = [0.0] + [v / (k + 1) for k, v in enumerate(y)]
+    for j, g in enumerate(gammas):
+        y[j] += g / math.factorial(j)
+    return Polynomial(y)
 
 
 def _diagnostics(p, solution_poly, grid=201):
@@ -283,13 +308,18 @@ def _diagnostics(p, solution_poly, grid=201):
     derivs = [solution_poly]
     for _ in range(p.order):
         derivs.append(differentiate(derivs[-1]))
+    # L[y] = sum_k a_k y^(k), folded once into a single polynomial
+    ly = [0.0] * len(solution_poly.coeffs)
+    for a, d in zip(p.coefficients, derivs):
+        for j, v in enumerate(d.coeffs):
+            ly[j] += a * v
+    ly = Polynomial(ly)
     res_max = 0.0
     rhs_max = 0.0
     for i in range(grid):
         x = x0 + (x1 - x0) * i / (grid - 1)
-        rx = p.rhs(x)
-        lhs = sum(a * derivs[k](x) for k, a in enumerate(p.coefficients))
-        res = abs(lhs - rx)
+        rx = _eval_checked(p.rhs, x)
+        res = abs(ly(x) - rx)
         if res > res_max:
             res_max = res
         if abs(rx) > rhs_max:
@@ -327,7 +357,7 @@ def solve(p):
     """Solve the problem; see module docstring for the scheme."""
     mapped = map_domain(p)
     n = mapped.truncation
-    basis = gram_schmidt_basis(n)
+    basis = legendre_basis(n)
     theta = build_theta(n)
     a, b = assemble(mapped, basis, theta)
     try:
@@ -369,7 +399,7 @@ def solve_paper_second_order(p):
     alpha = next(bc.value for bc in mapped.bcs if bc.side == "left")
     beta = next(bc.value for bc in mapped.bcs if bc.side == "right")
     n = mapped.truncation
-    basis = gram_schmidt_basis(n)
+    basis = legendre_basis(n)
     theta = build_theta(n)
     size = n + 1
 

@@ -67,11 +67,18 @@ def test_legendre_low_order_fixtures(k, expected):
 
 
 def test_constructions_agree():
-    for n, tol in ((12, 1e-10), (20, 1e-8)):
+    """The float views of both constructions are equal, not merely close:
+    the solver builds its basis from the recurrence, so every float it
+    reads must be the one Gram-Schmidt gives.  Rows with p > n are read by
+    problems whose order exceeds the degree (order 9 at n = 7)."""
+    for n in (1, 12, 20, 30):
         gs = gram_schmidt_basis(n)
         lg = legendre_basis(n)
-        for k in range(n + 1):
-            assert max_coeff_dev(gs.phis[k], lg.phis[k].coeffs) <= tol, (n, k)
+        assert gs.phis == lg.phis, n
+        assert gs.basis_to_mono == lg.basis_to_mono, n
+        assert gs.mono_to_basis == lg.mono_to_basis, n
+        for p in range(n + 9):
+            assert gs.projection_row(p) == lg.projection_row(p), (n, p)
 
 
 def test_orthonormality_gram_matrix():

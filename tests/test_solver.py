@@ -16,15 +16,27 @@ import random
 
 import pytest
 
-from polybvp.basis import gram_schmidt_basis, monomial_conversion
+from polybvp.approx import EvaluationError, project
+from polybvp.basis import gram_schmidt_basis, legendre_basis, monomial_conversion
 from polybvp.exprparse import compile_function
-from polybvp.linalg import Vector, mat_vec
+from polybvp.linalg import (
+    Matrix,
+    Vector,
+    identity,
+    mat_add,
+    mat_mul,
+    mat_scale,
+    mat_vec,
+    transpose,
+)
 from polybvp.opmatrix import build_theta
 from polybvp.poly import Polynomial, differentiate, eval_poly
 from polybvp.solver import (
     BoundaryCondition,
     BvpProblem,
     IllPosedProblemError,
+    _gamma_split,
+    _monomial_columns,
     assemble,
     map_domain,
     solve,
@@ -225,6 +237,67 @@ class TestAssemble:
                     if i > 1 or k > 1:
                         assert abs(lmat[i][k]) <= 1e-14 * (1 + abs(a0) + abs(a1))
 
+    def test_matches_dense_construction(self):
+        """Entry for entry equal to the dense construction it replaced:
+        Theta^T powers by mat_mul, summed by mat_scale/mat_add, endpoint
+        rows by mat_vec.  Covers orders 1..9, m - 1 > n, zero interior
+        coefficients and mixed left/right conditions."""
+        rng = random.Random(31)
+        for n in (1, 2, 7, 30):
+            basis = legendre_basis(n)
+            theta = build_theta(n)
+            for m in range(1, 10):
+                for _ in range(2):
+                    coeffs = [rng.choice((0.0, rng.uniform(-3, 3))) for _ in range(m)]
+                    left = rng.sample(range(m), rng.randint(0, m))
+                    right = rng.sample(range(m), m - len(left))
+                    bcs = [BoundaryCondition("left", d, rng.choice((0.0, rng.uniform(-2, 2))))
+                           for d in left]
+                    bcs += [BoundaryCondition("right", d, rng.uniform(-2, 2)) for d in right]
+                    p = BvpProblem(m, coeffs + [1.0], math.cos, (0.0, 1.0), bcs, n)
+                    a, b = assemble(p, basis, theta)
+                    want_a, want_b = dense_assemble(p, basis, theta)
+                    assert a == want_a, (n, m, coeffs, left, right)
+                    assert b == want_b, (n, m, coeffs, left, right)
+
+
+def dense_assemble(p, basis, theta):
+    """assemble as it stood before the banded construction (test oracle)."""
+    n, m, size = basis.n, p.order, basis.n + 1
+    tt = transpose(theta.theta)
+    mc = None
+    power = identity(size)
+    for i in range(m, -1, -1):
+        ai = p.coefficients[i]
+        if ai != 0.0:
+            term = mat_scale(power, ai)
+            mc = term if mc is None else mat_add(mc, term)
+        if i > 0:
+            power = mat_mul(tt, power)
+    fixed, free, right = _gamma_split(p)
+    cols = _monomial_columns(p, basis)
+    rho = list(project(p.rhs, basis).coeffs)
+    for j, val in fixed.items():
+        if val != 0.0:
+            for k in range(size):
+                rho[k] -= val * cols[j][k]
+    rows = [mc.row(k) + [cols[j][k] for j in free] for k in range(size)]
+    rhs = rho[:]
+    for bc in right:
+        d = bc.derivative_order
+        w = Vector([1.0] + [0.0] * n)
+        for _ in range(m - d - 1):
+            w = mat_vec(theta.theta, w)
+        rows.append(list(w) + [
+            (1.0 / math.factorial(j - d) if j >= d else 0.0) for j in free
+        ])
+        val = bc.value
+        for j, gval in fixed.items():
+            if j >= d and gval != 0.0:
+                val -= gval / math.factorial(j - d)
+        rhs.append(val)
+    return Matrix.from_rows(rows), Vector(rhs)
+
 
 # ------------------------------------------------------------------ solve
 
@@ -281,6 +354,25 @@ class TestSolve:
             6,
         )
         with pytest.raises(IllPosedProblemError, match="column"):
+            solve(p)
+
+    def test_raising_rhs_names_the_point(self):
+        p = BvpProblem(2, (0.0, 0.0, 1.0), lambda x: 1.0 / x, (0.0, 1.0),
+                       dirichlet(0.0, 0.0), 8)
+        with pytest.raises(EvaluationError, match="ZeroDivisionError at x=0:") as info:
+            solve(p)
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
+
+    def test_nan_rhs_is_not_skipped(self):
+        p = BvpProblem(2, (0.0, 0.0, 1.0), lambda x: math.nan if x == 0.0 else 1.0,
+                       (0.0, 1.0), dirichlet(0.0, 0.0), 8)
+        with pytest.raises(EvaluationError, match="nan at x=0$"):
+            solve(p)
+
+    def test_infinite_rhs_is_rejected(self):
+        p = BvpProblem(2, (0.0, 0.0, 1.0), lambda x: math.inf if x == 0.0 else 1.0,
+                       (0.0, 1.0), dirichlet(0.0, 0.0), 8)
+        with pytest.raises(EvaluationError, match="inf at x=0$"):
             solve(p)
 
     def test_boundary_conditions_satisfied_across_domains(self):
