@@ -12,6 +12,7 @@ from functools import lru_cache
 import math
 
 from .basis import eval_basis
+from .exprparse import ExprEvalError
 from .linalg import Vector
 from .poly import Polynomial, add, scale
 
@@ -21,7 +22,8 @@ class QuadratureError(RuntimeError):
 
 
 class EvaluationError(ValueError):
-    """A function callback produced a non-finite value or an arithmetic error."""
+    """A function callback produced a non-finite value, or raised an
+    arithmetic error or a ValueError, at a point this error names."""
 
 
 class QuadratureRule:
@@ -96,11 +98,15 @@ class ProjectionResult:
 
 
 def _eval_checked(f, x):
-    """f(x), with a non-finite value or an arithmetic error raised as
-    EvaluationError naming the point."""
+    """f(x), with a non-finite value, an arithmetic error or a ValueError
+    (math.log(-1), say) raised as EvaluationError naming the point.  An
+    ExprEvalError or EvaluationError already names its point and passes
+    through as it is."""
     try:
         v = f(x)
-    except ArithmeticError as exc:
+    except (ExprEvalError, EvaluationError):
+        raise
+    except (ArithmeticError, ValueError) as exc:
         raise EvaluationError(
             "function raised %s at x=%.17g: %s" % (type(exc).__name__, x, exc)
         ) from exc

@@ -3,10 +3,19 @@
 Everything in this package runs at desk scale (systems below ~40x40), so
 these are deliberately plain: row-major storage, triple-loop products,
 Gaussian elimination with partial pivoting.  Values are immutable after
-construction.
+construction and always finite.
+
+Validation happens where values enter from outside the program: the
+Matrix and Vector constructors convert every entry with float() and reject
+non-finite ones.  What the package computes itself (the products, sums
+and transposes below, the solver's output, the solver module's assembled
+system) is built by `_of`, which takes the floats as they are and keeps a
+single finiteness pass, so an overflow still raises LinAlgError instead of
+reaching the elimination as a spurious singularity.
 """
 
 import math
+from operator import mul
 
 
 class LinAlgError(ValueError):
@@ -20,9 +29,9 @@ class SingularMatrixError(LinAlgError):
 
 
 def _check_finite(values, what):
-    for v in values:
-        if not math.isfinite(v):
-            raise LinAlgError("non-finite entry %r in %s" % (v, what))
+    if not all(map(math.isfinite, values)):
+        bad = next(v for v in values if not math.isfinite(v))
+        raise LinAlgError("non-finite entry %r in %s" % (bad, what))
 
 
 class Vector:
@@ -34,6 +43,15 @@ class Vector:
             raise LinAlgError("vector needs at least one entry")
         _check_finite(entries, "vector")
         self.entries = tuple(entries)
+
+    @classmethod
+    def _of(cls, entries):
+        """A vector over floats the program computed: checked for
+        finiteness, not converted."""
+        self = object.__new__(cls)
+        self.entries = tuple(entries)
+        _check_finite(self.entries, "vector")
+        return self
 
     def __len__(self):
         return len(self.entries)
@@ -71,6 +89,17 @@ class Matrix:
         self.entries = tuple(entries)
 
     @classmethod
+    def _of(cls, rows, cols, entries):
+        """A rows x cols matrix over floats the program computed, row-major:
+        checked for finiteness, not converted or reshaped."""
+        self = object.__new__(cls)
+        self.rows = rows
+        self.cols = cols
+        self.entries = tuple(entries)
+        _check_finite(self.entries, "matrix")
+        return self
+
+    @classmethod
     def from_rows(cls, rows):
         rows = [list(r) for r in rows]
         ncols = len(rows[0])
@@ -102,11 +131,11 @@ class Matrix:
 
 
 def identity(n):
-    return Matrix(n, n, [1.0 if i == j else 0.0 for i in range(n) for j in range(n)])
+    return Matrix._of(n, n, [1.0 if i == j else 0.0 for i in range(n) for j in range(n)])
 
 
 def transpose(a):
-    return Matrix(a.cols, a.rows, [a.at(i, j) for j in range(a.cols) for i in range(a.rows)])
+    return Matrix._of(a.cols, a.rows, [a.at(i, j) for j in range(a.cols) for i in range(a.rows)])
 
 
 def mat_mul(a, b):
@@ -125,7 +154,7 @@ def mat_mul(a, b):
             orow = i * b.cols
             for j in range(b.cols):
                 out[orow + j] += aik * b.entries[brow + j]
-    return Matrix(a.rows, b.cols, out)
+    return Matrix._of(a.rows, b.cols, out)
 
 
 def mat_add(a, b):
@@ -133,41 +162,46 @@ def mat_add(a, b):
         raise LinAlgError(
             "cannot add %dx%d and %dx%d" % (a.rows, a.cols, b.rows, b.cols)
         )
-    return Matrix(a.rows, a.cols, [x + y for x, y in zip(a.entries, b.entries)])
+    return Matrix._of(a.rows, a.cols, [x + y for x, y in zip(a.entries, b.entries)])
 
 
 def mat_scale(a, c):
-    return Matrix(a.rows, a.cols, [c * x for x in a.entries])
+    return Matrix._of(a.rows, a.cols, [c * x for x in a.entries])
 
 
 def mat_vec(a, v):
     if a.cols != len(v):
         raise LinAlgError("cannot apply %dx%d to length-%d vector" % (a.rows, a.cols, len(v)))
-    return Vector(
+    return Vector._of(
         [sum(a.at(i, j) * v[j] for j in range(a.cols)) for i in range(a.rows)]
     )
 
 
 def outer(u, v):
-    return Matrix(len(u), len(v), [x * y for x in u for y in v])
+    return Matrix._of(len(u), len(v), [x * y for x in u for y in v])
 
 
-def _lu_factor(a):
-    """In-place LU with partial pivoting on a row-list copy of `a`.
+def _lu_factor(m, threshold):
+    """In-place LU with partial pivoting on the row lists `m`.
 
-    Returns (rows, perm) where rows hold L (below diagonal, unit implied) and
-    U (on/above).  A pivot below 1e-13 times the largest initial |entry| is
-    treated as structural singularity (an ill-posed assembly), not round-off,
-    and reported with the offending column.
+    Returns (m, perm) where the rows now hold L (below diagonal, unit
+    implied) and U (on/above).  A pivot below `threshold` (1e-13 times the
+    largest initial |entry|) is treated as structural singularity (an
+    ill-posed assembly), not round-off, and reported with the offending
+    column.  Among equal candidates the first row is the pivot.
     """
-    n = a.rows
-    m = [a.row(i) for i in range(n)]
+    # Plain indexed loops: on rows this short they beat slicing, zip and
+    # comprehensions (measured on CPython 3.11).
+    n = len(m)
     perm = list(range(n))
-    threshold = 1e-13 * max(abs(v) for v in a.entries)
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(m[r][col]))
+        piv, pabs = col, abs(m[col][col])
+        for r in range(col + 1, n):
+            v = abs(m[r][col])
+            if v > pabs:
+                piv, pabs = r, v
         pval = m[piv][col]
-        if pval == 0.0 or abs(pval) < threshold:
+        if pval == 0.0 or pabs < threshold:
             raise SingularMatrixError(col)
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
@@ -208,7 +242,9 @@ def solve_linear(a, b):
     compensated (exactly summed) residuals; for the small, well-conditioned
     systems produced here this brings each solution component to within a few
     ulps, which downstream polynomial reconstruction needs because basis
-    coefficients get amplified by large monomial coefficients.
+    coefficients get amplified by large monomial coefficients.  Both
+    operands are finite by construction, so nothing is validated again; the
+    work runs on plain row lists.
     """
     if a.rows != a.cols:
         raise LinAlgError("solve needs a square matrix, got %dx%d" % (a.rows, a.cols))
@@ -217,15 +253,15 @@ def solve_linear(a, b):
             "matrix is %dx%d but right-hand side has length %d" % (a.rows, a.cols, len(b))
         )
     n = a.rows
-    lu, perm = _lu_factor(a)
-    x = _lu_solve(lu, perm, list(b.entries))
+    flat = a.entries
+    rows = [flat[i * n : (i + 1) * n] for i in range(n)]
+    lu, perm = _lu_factor([list(r) for r in rows], 1e-13 * max(map(abs, flat)))
+    rhs = b.entries
+    x = _lu_solve(lu, perm, rhs)
     for _ in range(2):
-        residual = [
-            math.fsum([a.at(i, j) * x[j] for j in range(n)] + [-b[i]])
-            for i in range(n)
-        ]
-        if all(v == 0.0 for v in residual):
+        residual = [math.fsum([*map(mul, row, x), -bi]) for row, bi in zip(rows, rhs)]
+        if not any(residual):
             break
         d = _lu_solve(lu, perm, residual)
         x = [xi - di for xi, di in zip(x, d)]
-    return Vector(x)
+    return Vector._of(x)

@@ -5,37 +5,140 @@ Theta phi(zeta)  row by row, except that the last row drops the phi_{n+1}
 spill-over term (the matrix is square by construction); that truncation is
 part of the method and shows up in the solver's residual diagnostic, not
 here.  Entries come from the closed form, no quadrature.
+
+Theta, its transposed powers and its endpoint vectors Theta^k e0 depend on
+the degree alone.  build_theta keeps one OperationalMatrix per degree, and
+that instance memoizes both tables, growing each on demand to the largest
+power asked for.
 """
 
+from array import array
 import math
 
 from .linalg import Matrix, identity, mat_mul
 
+_thetas = {}
+
 
 class OperationalMatrix:
-    __slots__ = ("n", "theta")
+    """Theta for degree n, memoizing its transposed powers and endpoint
+    vectors."""
+
+    __slots__ = ("n", "theta", "_powers", "_ends")
 
     def __init__(self, n, theta):
         self.n = n
         self.theta = theta
+        size = n + 1
+        self._powers = [_banded([[1.0 if i == j else 0.0 for j in range(size)] for i in range(size)])]
+        self._ends = [array("d", [1.0] + [0.0] * n)]
 
     def __repr__(self):
         return "OperationalMatrix(n=%d)" % self.n
 
+    def add_transposed_power(self, rows, a, k):
+        """rows += a (Theta^T)^k in place: each entry x becomes x + a*p.
+
+        Only the band of each row of the power is visited.  Outside it the
+        power is +0.0, and x + a*0.0 == x bit for bit unless x is -0.0, so
+        the result is the dense one for rows holding no -0.0.
+        """
+        los, ends, values = self._power(k)
+        start = 0
+        for acc, j, stop in zip(rows, los, ends):
+            for i in range(start, stop):
+                acc[j] += a * values[i]
+                j += 1
+            start = stop
+
+    def _power(self, k):
+        # (Theta^T)^(j+1) = Theta^T (Theta^T)^j on dense rows.  Theta is
+        # tridiagonal, so row i of Theta^T is applied through its nonzeros
+        # Theta[r][i] in ascending r, starting from +0.0: each entry is the
+        # same floating-point sum as a dense product that skips zero
+        # factors, and no entry is ever -0.0.  The table grows into a new
+        # list that then replaces the old one, so a concurrent caller sees
+        # either table whole, never interleaved appends.
+        powers = self._powers
+        if len(powers) <= k:
+            size = self.n + 1
+            theta_rows = self.theta.to_rows()
+            band = [
+                [(r, theta_rows[r][i]) for r in range(size) if theta_rows[r][i] != 0.0]
+                for i in range(size)
+            ]
+            power = _dense(powers[-1], size)
+            powers = list(powers)
+            while len(powers) <= k:
+                nxt = []
+                for entries in band:
+                    acc = [0.0] * size
+                    for r, v in entries:
+                        acc = [s + v * b for s, b in zip(acc, power[r])]
+                    nxt.append(acc)
+                power = nxt
+                powers.append(_banded(power))
+            self._powers = powers
+        return powers[k]
+
+    def endpoint(self, k):
+        """Theta^k e0, the endpoint integrals of the basis.  The array is
+        the memo's own: read it, do not modify it."""
+        ends = self._ends
+        if len(ends) <= k:
+            theta_rows = self.theta.to_rows()
+            ends = list(ends)  # grown and replaced whole, as in _power
+            # sum() as in linalg.mat_vec, so the two agree on every interpreter
+            while len(ends) <= k:
+                ends.append(array("d", [sum(a * b for a, b in zip(r, ends[-1])) for r in theta_rows]))
+            self._ends = ends
+        return ends[k]
+
+
+def _banded(rows):
+    """(los, ends, values): row i is values[ends[i-1]:ends[i]] from column
+    los[i] on, spanning its first to last nonzero, and zero elsewhere."""
+    los, ends, values = array("l"), array("l"), array("d")
+    for row in rows:
+        nonzero = [j for j, v in enumerate(row) if v != 0.0]
+        lo, hi = (nonzero[0], nonzero[-1] + 1) if nonzero else (0, 0)
+        los.append(lo)
+        values.extend(row[lo:hi])
+        ends.append(len(values))
+    return los, ends, values
+
+
+def _dense(power, size):
+    los, ends, values = power
+    rows = []
+    start = 0
+    for lo, stop in zip(los, ends):
+        row = [0.0] * size
+        row[lo : lo + stop - start] = values[start:stop]
+        rows.append(row)
+        start = stop
+    return rows
+
 
 def build_theta(n):
-    """The (n+1)x(n+1) integration matrix for basis degree n."""
+    """The (n+1)x(n+1) integration matrix for basis degree n.
+
+    One instance per degree, so its memoized tables serve every solve.
+    """
     if not isinstance(n, int) or not 1 <= n <= 30:
         raise ValueError("operational matrix degree %r outside supported range 1..30" % (n,))
-    size = n + 1
-    e = [0.0] * (size * size)
-    e[0] = 0.5
-    e[1] = 1.0 / (2.0 * math.sqrt(3.0))
-    for i in range(1, n):
-        e[i * size + i - 1] = -1.0 / (2.0 * math.sqrt((2 * i - 1) * (2 * i + 1)))
-        e[i * size + i + 1] = 1.0 / (2.0 * math.sqrt((2 * i + 1) * (2 * i + 3)))
-    e[n * size + n - 1] = -1.0 / (2.0 * math.sqrt((2 * n - 1) * (2 * n + 1)))
-    return OperationalMatrix(n, Matrix(size, size, e))
+    op = _thetas.get(n)
+    if op is None:
+        size = n + 1
+        e = [0.0] * (size * size)
+        e[0] = 0.5
+        e[1] = 1.0 / (2.0 * math.sqrt(3.0))
+        for i in range(1, n):
+            e[i * size + i - 1] = -1.0 / (2.0 * math.sqrt((2 * i - 1) * (2 * i + 1)))
+            e[i * size + i + 1] = 1.0 / (2.0 * math.sqrt((2 * i + 1) * (2 * i + 3)))
+        e[n * size + n - 1] = -1.0 / (2.0 * math.sqrt((2 * n - 1) * (2 * n + 1)))
+        op = _thetas[n] = OperationalMatrix(n, Matrix(size, size, e))
+    return op
 
 
 def theta_power(m, k):

@@ -17,8 +17,14 @@ The basis comes from the shifted-Legendre recurrence (legendre_basis), whose
 float view is bit-identical to the paper's Gram-Schmidt construction;
 Gram-Schmidt stays as the paper's route and the test oracle.  Quadrature
 rules, default-rule node tables and float projection rows are memoized per
-degree, and sum a_i (Theta^T)^(m-i) is formed through Theta's tridiagonal
-band.  The diagnostics fold L[y] = sum a_k y^(k) into one polynomial, so
+degree, and so is Theta: build_theta keeps one OperationalMatrix per
+degree, which memoizes the bands of (Theta^T)^k and the endpoint vectors
+Theta^k e0.  assemble only adds a_i times those bands and copies the
+endpoint vectors, with the same floating-point operations as the dense
+construction.  It builds the system from floats it computed, so the system
+is checked once for finiteness (Matrix._of, Vector._of) instead of being
+converted and validated entry by entry, and solve_linear validates nothing
+again.  The diagnostics fold L[y] = sum a_k y^(k) into one polynomial, so
 residual_max can differ from releases that evaluated each derivative
 separately; the solution itself does not.
 
@@ -227,32 +233,14 @@ def assemble(p, basis, theta):
     m = p.order
     size = n + 1
 
-    # mc = sum_i a_i (Theta^T)^(m-i) on row lists.  Theta is tridiagonal, so
-    # row i of Theta^T is applied through its nonzeros Theta[k][i] in
-    # ascending k: each entry is the same floating-point sum as a dense
-    # product that skips zero factors.
-    theta_rows = theta.theta.to_rows()
-    band = [
-        [(k, theta_rows[k][i]) for k in range(size) if theta_rows[k][i] != 0.0]
-        for i in range(size)
-    ]
-    power = [[1.0 if i == j else 0.0 for j in range(size)] for i in range(size)]
-    mc = None
-    for i in range(m, -1, -1):
+    # mc = sum_i a_i (Theta^T)^(m-i), term by term in descending i, from
+    # Theta's memoized powers.  a_m = 1 contributes the identity; a sum
+    # started from it never holds -0.0, so each entry is the dense sum.
+    mc = [[1.0 if i == j else 0.0 for j in range(size)] for i in range(size)]
+    for i in range(m - 1, -1, -1):
         ai = p.coefficients[i]
         if ai != 0.0:
-            if mc is None:
-                mc = [[ai * v for v in row] for row in power]
-            else:
-                mc = [[x + ai * v for x, v in zip(acc, row)] for acc, row in zip(mc, power)]
-        if i > 0:
-            nxt = []
-            for entries in band:
-                acc = [0.0] * size
-                for k, v in entries:
-                    acc = [s + v * b for s, b in zip(acc, power[k])]
-                nxt.append(acc)
-            power = nxt
+            theta.add_transposed_power(mc, ai, m - i)
 
     fixed, free, right = _gamma_split(p)
     cols = _monomial_columns(p, basis)
@@ -262,31 +250,27 @@ def assemble(p, basis, theta):
             for k in range(size):
                 rho[k] -= val * cols[j][k]
 
+    # The system is built from floats computed here, so Matrix._of and
+    # Vector._of only check it for finiteness once.
     dim = size + len(right)
-    rows = []
-    rhs = []
+    free_cols = [cols[j] for j in free]
+    entries = []
     for k in range(size):
-        rows.append(mc[k] + [cols[j][k] for j in free])
-        rhs.append(rho[k])
+        entries += mc[k]
+        entries += [col[k] for col in free_cols]
 
     # endpoint rows: y^(d)(1) = C.Theta^(m-d-1) e0 + sum_{j>=d} gamma_j/(j-d)!
-    ends = [[1.0] + [0.0] * n]  # ends[k] = Theta^k e0
     for bc in right:
         d = bc.derivative_order
-        while len(ends) < m - d:
-            ends.append([sum(a * b for a, b in zip(r, ends[-1])) for r in theta_rows])
-        row = ends[m - d - 1] + [
-            (1.0 / math.factorial(j - d) if j >= d else 0.0) for j in free
-        ]
+        entries += theta.endpoint(m - d - 1)
+        entries += [(1.0 / math.factorial(j - d) if j >= d else 0.0) for j in free]
         val = bc.value
         for j, gval in fixed.items():
             if j >= d and gval != 0.0:
                 val -= gval / math.factorial(j - d)
-        rows.append(row)
-        rhs.append(val)
+        rho.append(val)
 
-    flat = [v for row in rows for v in row]
-    return Matrix(dim, dim, flat), Vector(rhs)
+    return Matrix._of(dim, dim, entries), Vector._of(rho)
 
 
 def _reconstruct_mapped(c, gammas, basis, m):

@@ -127,6 +127,14 @@ class TestContainers:
         with pytest.raises(LinAlgError):
             Matrix.from_rows([[1.0, 2.0], [3.0]])
 
+    def test_overflowing_result_raises(self):
+        # computed results skip float() conversion but not the finiteness check
+        big = Matrix.from_rows([[1e200]])
+        with pytest.raises(LinAlgError, match="non-finite entry inf in matrix"):
+            mat_mul(big, big)
+        with pytest.raises(LinAlgError, match="non-finite entry inf in vector"):
+            mat_vec(big, Vector([1e200]))
+
     def test_entries_immutable(self):
         a = identity(2)
         assert isinstance(a.entries, tuple)

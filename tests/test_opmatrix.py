@@ -10,13 +10,15 @@ exactly  1/(2*sqrt((2n+1)(2n+3))) * phi_{n+1}(zeta).
 
 import math
 import random
+import sys
+import threading
 
 import pytest
 
 from polybvp.approx import gauss_legendre_rule
 from polybvp.basis import eval_basis, gram_schmidt_basis
 from polybvp.linalg import Vector, mat_mul, mat_vec
-from polybvp.opmatrix import build_theta, theta_power
+from polybvp.opmatrix import OperationalMatrix, build_theta, theta_power
 
 
 def sub_entry(i):
@@ -146,6 +148,73 @@ def test_repeated_integration_kills_phi_at_zero():
         if prev_norm is not None:
             assert norm <= prev_norm
         prev_norm = norm
+
+
+def test_one_instance_per_degree():
+    # solves at one degree share the memoized power and endpoint tables
+    assert build_theta(9) is build_theta(9)
+    assert build_theta(9) is not build_theta(10)
+
+
+def tables(op, orders):
+    """Every memoized power, densely, and every endpoint vector up to orders."""
+    size = op.n + 1
+    powers = []
+    for k in range(orders + 1):
+        rows = [[0.0] * size for _ in range(size)]
+        op.add_transposed_power(rows, 1.0, k)
+        powers.append(rows)
+    return powers, [list(op.endpoint(k)) for k in range(orders)]
+
+
+def test_memo_matches_dense_powers():
+    """The banded tables hold the dense (Theta^T)^k and repeated Theta e0."""
+    n = 12
+    op = OperationalMatrix(n, build_theta(n).theta)
+    powers, ends = tables(op, 9)
+    tt = [[op.theta.at(j, i) for j in range(n + 1)] for i in range(n + 1)]
+    for k in range(1, 10):
+        assert powers[k] == theta_power_rows(tt, k)
+    w = Vector([1.0] + [0.0] * n)
+    for k in range(9):
+        assert ends[k] == list(w)
+        w = mat_vec(op.theta, w)
+
+
+def theta_power_rows(tt, k):
+    size = len(tt)
+    out = [[1.0 if i == j else 0.0 for j in range(size)] for i in range(size)]
+    for _ in range(k):
+        out = [[sum(tt[i][r] * out[r][j] for r in range(size)) for j in range(size)]
+               for i in range(size)]
+    return out
+
+
+def test_concurrent_growth_leaves_the_serial_tables():
+    """Threads growing one empty memo to different orders leave the tables
+    a single caller grows, entry for entry."""
+    n = 12
+    theta = build_theta(n).theta
+    want = tables(OperationalMatrix(n, theta), 9)
+
+    def grow(op, k):
+        op.add_transposed_power([[0.0] * (n + 1) for _ in range(n + 1)], 1.0, k)
+        op.endpoint(k)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(100):
+            op = OperationalMatrix(n, theta)
+            threads = [threading.Thread(target=grow, args=(op, k)) for k in (9, 4, 8, 2, 9, 6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert tables(op, 9) == want
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_range_errors():

@@ -18,18 +18,21 @@ import pytest
 
 from polybvp.approx import EvaluationError, project
 from polybvp.basis import gram_schmidt_basis, legendre_basis, monomial_conversion
-from polybvp.exprparse import compile_function
+from polybvp.exprparse import ExprEvalError, compile_function
 from polybvp.linalg import (
+    LinAlgError,
     Matrix,
+    SingularMatrixError,
     Vector,
     identity,
     mat_add,
     mat_mul,
     mat_scale,
     mat_vec,
+    solve_linear,
     transpose,
 )
-from polybvp.opmatrix import build_theta
+from polybvp.opmatrix import OperationalMatrix, build_theta
 from polybvp.poly import Polynomial, differentiate, eval_poly
 from polybvp.solver import (
     BoundaryCondition,
@@ -248,17 +251,73 @@ class TestAssemble:
             theta = build_theta(n)
             for m in range(1, 10):
                 for _ in range(2):
-                    coeffs = [rng.choice((0.0, rng.uniform(-3, 3))) for _ in range(m)]
-                    left = rng.sample(range(m), rng.randint(0, m))
-                    right = rng.sample(range(m), m - len(left))
-                    bcs = [BoundaryCondition("left", d, rng.choice((0.0, rng.uniform(-2, 2))))
-                           for d in left]
-                    bcs += [BoundaryCondition("right", d, rng.uniform(-2, 2)) for d in right]
-                    p = BvpProblem(m, coeffs + [1.0], math.cos, (0.0, 1.0), bcs, n)
+                    p = random_mapped_problem(rng, n, m)
                     a, b = assemble(p, basis, theta)
                     want_a, want_b = dense_assemble(p, basis, theta)
-                    assert a == want_a, (n, m, coeffs, left, right)
-                    assert b == want_b, (n, m, coeffs, left, right)
+                    assert a == want_a, (n, m, p.coefficients, p.bcs)
+                    assert b == want_b, (n, m, p.coefficients, p.bcs)
+
+    @pytest.mark.parametrize("orders", [(9, 3), (3, 9)])
+    @pytest.mark.parametrize("n", [7, 30])
+    def test_memo_grows_to_any_order(self, n, orders):
+        """From an empty memo, the power and endpoint tables grown for one
+        order serve the next: every system equals the dense oracle's, signed
+        zeros included, whichever order comes first."""
+        rng = random.Random(41 * n + orders[0])
+        basis = legendre_basis(n)
+        theta = OperationalMatrix(n, build_theta(n).theta)
+        for m in orders:
+            for right in (m, rng.randint(0, m)):  # all conditions right, then a mix
+                p = random_mapped_problem(rng, n, m, right=right)
+                a, b = assemble(p, basis, theta)
+                want_a, want_b = dense_assemble(p, basis, theta)
+                assert hexes(a.entries) == hexes(want_a.entries), (m, p.bcs)
+                assert hexes(b) == hexes(want_b), (m, p.bcs)
+
+    def test_returned_system_shares_nothing_with_the_memo(self):
+        """Mutating what assemble returns, or assembling again, changes
+        neither the memoized tables nor a later system."""
+        n, m = 7, 5
+        basis = legendre_basis(n)
+        theta = OperationalMatrix(n, build_theta(n).theta)
+        p = random_mapped_problem(random.Random(43), n, m, right=m)
+
+        def tables():
+            powers = []
+            for k in range(m + 1):
+                rows = [[0.0] * (n + 1) for _ in range(n + 1)]
+                theta.add_transposed_power(rows, 1.0, k)
+                powers.append(rows)
+            return powers, [list(theta.endpoint(k)) for k in range(m)]
+
+        a, b = assemble(p, basis, theta)
+        before = tables()
+        assert isinstance(a.entries, tuple) and isinstance(b.entries, tuple)
+        rows = a.to_rows()
+        for row in rows:
+            row[:] = [7.0] * len(row)
+        again_a, again_b = assemble(p, basis, theta)
+        assert tables() == before
+        assert hexes(again_a.entries) == hexes(a.entries)
+        assert hexes(again_b) == hexes(b)
+        assert rows != a.to_rows()
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def random_mapped_problem(rng, n, m, right=None):
+    """A monic order-m problem on [0,1] with zero and nonzero lower
+    coefficients and zero and nonzero left values; `right` conditions (a
+    random count if None) sit at the right end."""
+    coeffs = [rng.choice((0.0, rng.uniform(-3, 3))) for _ in range(m)]
+    left = rng.sample(range(m), rng.randint(0, m) if right is None else m - right)
+    right = rng.sample(range(m), m - len(left))
+    bcs = [BoundaryCondition("left", d, rng.choice((0.0, rng.uniform(-2, 2))))
+           for d in left]
+    bcs += [BoundaryCondition("right", d, rng.uniform(-2, 2)) for d in right]
+    return BvpProblem(m, coeffs + [1.0], math.cos, (0.0, 1.0), bcs, n)
 
 
 def dense_assemble(p, basis, theta):
@@ -297,6 +356,100 @@ def dense_assemble(p, basis, theta):
                 val -= gval / math.factorial(j - d)
         rhs.append(val)
     return Matrix.from_rows(rows), Vector(rhs)
+
+
+# ------------------------------------------------- solve_linear on systems
+
+class TestSolveLinearOnAssembledSystems:
+    def test_matches_previous_elimination(self):
+        """Bit for bit, signed zeros included, the elimination it replaced
+        on assembled systems: orders 1..9 at n in {1, 2, 7, 30}, a singular
+        system failing at the same column."""
+        rng = random.Random(47)
+        for n in (1, 2, 7, 30):
+            basis = legendre_basis(n)
+            theta = build_theta(n)
+            for m in range(1, 10):
+                for _ in range(3):
+                    p = random_mapped_problem(rng, n, m)
+                    a, b = assemble(p, basis, theta)
+                    assert outcome(solve_linear, a, b) == outcome(entrywise_solve_linear, a, b), (
+                        n, m, p.coefficients, p.bcs)
+
+    def test_matches_previous_elimination_on_ties_and_signed_zeros(self):
+        """Pivot ties go to the first candidate row, and a zero component
+        keeps its sign ([0, -0] below, where forward substitution skips the
+        zero x_0), as in the elimination it replaced."""
+        rng = random.Random(53)
+        cases = [(Matrix.from_rows([[2.0, 1.0], [-1.0, 3.0]]), Vector([0.0, -0.0]))]
+        for n in (3, 5, 8):
+            rows = [[rng.choice((1.0, -1.0))] + [rng.uniform(-1, 1) for _ in range(n - 1)]
+                    for _ in range(n)]
+            cases.append((Matrix.from_rows(rows), Vector([rng.uniform(-1, 1) for _ in range(n)])))
+        for a, b in cases:
+            assert outcome(solve_linear, a, b) == outcome(entrywise_solve_linear, a, b), a
+        assert hexes(solve_linear(*cases[0])) == hexes([0.0, -0.0])
+
+
+def outcome(solver, a, b):
+    try:
+        return hexes(solver(a, b))
+    except SingularMatrixError as exc:
+        return ("singular", exc.column)
+
+
+def entrywise_solve_linear(a, b):
+    """solve_linear as it stood before it ran on row lists (test oracle):
+    entry access through Matrix.at, pivot by max(key=...), the same two
+    refinement steps."""
+    n = a.rows
+    m = [a.row(i) for i in range(n)]
+    perm = list(range(n))
+    threshold = 1e-13 * max(abs(v) for v in a.entries)
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(m[r][col]))
+        pval = m[piv][col]
+        if pval == 0.0 or abs(pval) < threshold:
+            raise SingularMatrixError(col)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            perm[col], perm[piv] = perm[piv], perm[col]
+        prow = m[col]
+        for r in range(col + 1, n):
+            f = m[r][col] / pval
+            m[r][col] = f
+            if f == 0.0:
+                continue
+            row = m[r]
+            for c in range(col + 1, n):
+                row[c] -= f * prow[c]
+
+    def lu_solve(rhs):
+        x = [rhs[p] for p in perm]
+        for col in range(n):
+            xc = x[col]
+            if xc != 0.0:
+                for r in range(col + 1, n):
+                    x[r] -= m[r][col] * xc
+        for col in range(n - 1, -1, -1):
+            s = x[col]
+            row = m[col]
+            for c in range(col + 1, n):
+                s -= row[c] * x[c]
+            x[col] = s / row[col]
+        return x
+
+    x = lu_solve(list(b.entries))
+    for _ in range(2):
+        residual = [
+            math.fsum([a.at(i, j) * x[j] for j in range(n)] + [-b[i]])
+            for i in range(n)
+        ]
+        if all(v == 0.0 for v in residual):
+            break
+        d = lu_solve(residual)
+        x = [xi - di for xi, di in zip(x, d)]
+    return x
 
 
 # ------------------------------------------------------------------ solve
@@ -373,6 +526,32 @@ class TestSolve:
         p = BvpProblem(2, (0.0, 0.0, 1.0), lambda x: math.inf if x == 0.0 else 1.0,
                        (0.0, 1.0), dirichlet(0.0, 0.0), 8)
         with pytest.raises(EvaluationError, match="inf at x=0$"):
+            solve(p)
+
+    def test_value_error_in_rhs_names_the_point(self):
+        p = BvpProblem(2, (0.0, 0.0, 1.0), lambda x: math.log(x - 0.5), (0.0, 1.0),
+                       dirichlet(0.0, 0.0), 8)
+        with pytest.raises(EvaluationError, match=r"ValueError at x=0\.00136.*: math domain"
+                           ) as info:
+            solve(p)
+        assert isinstance(info.value.__cause__, ValueError)
+
+    def test_expression_error_keeps_its_type_and_message(self):
+        # an ExprEvalError names its point and sub-expression already
+        p = BvpProblem(2, (0.0, 0.0, 1.0), compile_function("log(x-0.5)"), (0.0, 1.0),
+                       dirichlet(0.0, 0.0), 8)
+        with pytest.raises(ExprEvalError) as info:
+            solve(p)
+        assert type(info.value) is ExprEvalError
+        assert str(info.value) == ("log of non-positive value in 'log(x-0.5)' "
+                                   "at x=0.0013680690752592183")
+
+    def test_overflowing_system_is_reported_as_non_finite(self):
+        # the coefficients are finite but the assembled system overflows;
+        # that must not surface as a singular (ill-posed) system
+        p = BvpProblem(2, (1.7e308, 1.7e308, 1.0), lambda x: 1.0, (0.0, 1.0),
+                       dirichlet(0.0, 1.0), 8)
+        with pytest.raises(LinAlgError, match="^non-finite entry inf in matrix$"):
             solve(p)
 
     def test_boundary_conditions_satisfied_across_domains(self):
