@@ -23,13 +23,11 @@ from .approx import (
 )
 from .basis import (
     BasisConstructionError,
-    BasisVectorAtPoint,
     OrthonormalBasis,
     eval_basis,
     gram_schmidt_basis,
     inner_product,
     legendre_basis,
-    monomial_conversion,
 )
 from .exprparse import (
     ExprEvalError,
@@ -46,7 +44,7 @@ from .linalg import (
     Vector,
     solve_linear,
 )
-from .opmatrix import OperationalMatrix, build_theta, theta_power
+from .opmatrix import OperationalMatrix, build_theta
 from .poly import (
     Polynomial,
     bernoulli_number,
@@ -73,11 +71,10 @@ from .solver import (
     solve_paper_second_order,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "BasisConstructionError",
-    "BasisVectorAtPoint",
     "BoundaryCondition",
     "BvpProblem",
     "BvpSolution",
@@ -114,7 +111,6 @@ __all__ = [
     "legendre_basis",
     "map_domain",
     "max_abs_error",
-    "monomial_conversion",
     "parse",
     "pretty_print",
     "project",
@@ -123,5 +119,4 @@ __all__ = [
     "solve",
     "solve_linear",
     "solve_paper_second_order",
-    "theta_power",
 ]

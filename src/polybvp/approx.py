@@ -14,7 +14,7 @@ import math
 from .basis import eval_basis
 from .exprparse import ExprEvalError
 from .linalg import Vector
-from .poly import Polynomial, add, scale
+from .poly import Polynomial
 
 
 class QuadratureError(RuntimeError):
@@ -128,7 +128,7 @@ def _default_node_table(basis):
     if table is None:
         rule = gauss_legendre_rule(max(basis.n + 1, 32))
         table = _default_tables[basis.n] = tuple(
-            (x, w, tuple(eval_basis(basis, x))) for x, w in zip(rule.nodes, rule.weights)
+            (x, w, eval_basis(basis, x)) for x, w in zip(rule.nodes, rule.weights)
         )
     return table
 
@@ -156,8 +156,10 @@ def project(f, basis, rule=None):
         wf = w * fx
         norm_sq += wf * fx
         coeffs = [c + wf * v for c, v in zip(coeffs, phix)]
-    remainder = norm_sq - sum(c * c for c in coeffs)
-    return ProjectionResult(Vector(coeffs), math.sqrt(max(0.0, remainder)))
+    sum_sq = 0.0
+    for c in coeffs:  # a loop, not sum(), which compensates on Python >= 3.12
+        sum_sq += c * c
+    return ProjectionResult(Vector._of(coeffs), math.sqrt(max(0.0, norm_sq - sum_sq)))
 
 
 def reconstruct(coeffs, basis):
@@ -166,11 +168,12 @@ def reconstruct(coeffs, basis):
         raise ValueError(
             "got %d coefficients for a basis of size %d" % (len(coeffs), basis.n + 1)
         )
-    out = Polynomial([0.0])
+    out = [0.0] * (basis.n + 1)
     for c, phi in zip(coeffs, basis.phis):
         if c:
-            out = add(out, scale(phi, c))
-    return out
+            for j, v in enumerate(phi.coeffs):
+                out[j] += c * v
+    return Polynomial(out)
 
 
 def max_abs_error(f, g, grid_points):

@@ -16,7 +16,6 @@ from fractions import Fraction
 from functools import lru_cache
 import math
 
-from .linalg import Matrix, Vector
 from .poly import Polynomial, bernoulli_polynomial
 
 MAX_DEGREE = 30
@@ -67,113 +66,35 @@ def _radical_float(c, s):
     return r if c > 0 else -r
 
 
-class BasisVectorAtPoint:
-    """phi_0(x)..phi_n(x) stacked as a vector."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        self.values = values if isinstance(values, Vector) else Vector(values)
-
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, k):
-        return self.values[k]
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __repr__(self):
-        return "BasisVectorAtPoint(%r)" % (list(self.values),)
-
-
 class OrthonormalBasis:
-    """The orthonormal polynomials phi_0..phi_n with conversion data.
+    """The orthonormal polynomials phi_0..phi_n.
 
-    Float-facing fields:
-      phis           list of Polynomial (monomial form, float coefficients)
-      mono_to_basis  Matrix T with x^p = sum_k T[p][k] phi_k, p = 0..n
-      basis_to_mono  Matrix of phi monomial coefficients (inverse of T)
-
-    Exact skeleton (what the tests lean on):
-      integer_coeffs[k], scale_sq[k]  with  phi_k = sqrt(scale_sq[k]) * V_k,
-      exact_mono_rows[p][k]           rationals w with T[p][k] = w*sqrt(scale_sq[k])
+    Exact form: integer_coeffs[k], scale_sq[k] with
+    phi_k = sqrt(scale_sq[k]) * V_k.  Float view: phis, a list of
+    Polynomial (monomial form).  Conversion from monomials goes through
+    projection_row, <x^p, phi_k>, which for p <= n is the expansion
+    x^p = sum_k <x^p, phi_k> phi_k.
     """
 
-    __slots__ = (
-        "n",
-        "phis",
-        "mono_to_basis",
-        "basis_to_mono",
-        "integer_coeffs",
-        "scale_sq",
-        "exact_mono_rows",
-        "_float_rows",
-    )
+    __slots__ = ("n", "phis", "integer_coeffs", "scale_sq", "_float_rows")
 
     def __init__(self, ivecs, scales):
-        n = len(ivecs) - 1
-        self.n = n
+        self.n = len(ivecs) - 1
         self.integer_coeffs = tuple(tuple(v) for v in ivecs)
         self.scale_sq = tuple(Fraction(s) for s in scales)
         self.phis = [
             Polynomial([_radical_float(c, s) for c in vec])
             for vec, s in zip(self.integer_coeffs, self.scale_sq)
         ]
-        self.basis_to_mono = Matrix(
-            n + 1,
-            n + 1,
-            [
-                _radical_float(vec[j], s) if j < len(vec) else 0.0
-                for vec, s in zip(self.integer_coeffs, self.scale_sq)
-                for j in range(n + 1)
-            ],
-        )
-        self.exact_mono_rows = tuple(
-            tuple(self._triangular_row(p)) for p in range(n + 1)
-        )
-        self.mono_to_basis = Matrix(
-            n + 1,
-            n + 1,
-            [
-                _radical_float(w, s)
-                for row in self.exact_mono_rows
-                for w, s in zip(row, self.scale_sq)
-            ],
-        )
         self._float_rows = {}
 
-    def _triangular_row(self, p):
-        # Solve x^p = sum_k T[p][k] phi_k by exact back substitution against
-        # the phi coefficient matrix.  With T[p][k] = u_k / scale_sq[k] *
-        # sqrt(scale_sq[k]) the radicals square away and the system
-        # sum_k u_k V_k[j] = delta_pj is purely rational.
-        n = self.n
-        u = [Fraction(0)] * (n + 1)
-        for j in range(n, -1, -1):
-            vjj = self.integer_coeffs[j][j]
-            if vjj == 0:
-                raise BasisConstructionError(
-                    "degenerate basis polynomial at index %d" % j
-                )
-            s = Fraction(1 if j == p else 0)
-            for k in range(j + 1, n + 1):
-                vk = self.integer_coeffs[k]
-                if u[k]:
-                    s -= u[k] * vk[j]
-            u[j] = s / vjj
-        return [u[k] / self.scale_sq[k] for k in range(n + 1)]
-
     def projection_row_exact(self, p):
-        """Rationals w_k with <x^p, phi_k> = w_k * sqrt(scale_sq[k]).
+        """Rationals w_k = sum_j V_k[j]/(p+j+1), so that
+        <x^p, phi_k> = w_k * sqrt(scale_sq[k]).
 
-        For p <= n these coincide with the triangular-solve rows of
-        mono_to_basis; beyond n they are honest L2 projections (x^p is no
-        longer in the span).
+        For p <= n, sum_k w_k * scale_sq[k] * V_k is exactly x^p; beyond n
+        it is the L2 projection of x^p onto the span.
         """
-        if p <= self.n:
-            return list(self.exact_mono_rows[p])
         return [
             sum((Fraction(c, p + j + 1) for j, c in enumerate(vec)), Fraction(0))
             for vec in self.integer_coeffs
@@ -269,13 +190,14 @@ def legendre_basis(n):
 
 
 def eval_basis(basis, x):
-    """phi(x) by the stable three-term recurrence (not monomial Horner)."""
+    """phi_0(x)..phi_n(x) as a tuple, by the stable three-term recurrence
+    (not monomial Horner)."""
     n = basis.n
     vals = [0.0] * (n + 1)
     p_prev = 1.0
     vals[0] = 1.0
     if n == 0:
-        return BasisVectorAtPoint(vals)
+        return tuple(vals)
     t = 2.0 * x - 1.0
     p_cur = t
     vals[1] = math.sqrt(3.0) * p_cur
@@ -283,9 +205,4 @@ def eval_basis(basis, x):
         p_nxt = ((2 * k + 1) * t * p_cur - k * p_prev) / (k + 1)
         p_prev, p_cur = p_cur, p_nxt
         vals[k + 1] = math.sqrt(2 * k + 3) * p_cur
-    return BasisVectorAtPoint(vals)
-
-
-def monomial_conversion(basis):
-    """The matrix T with x^p = sum_k T[p][k] phi_k for p = 0..n."""
-    return basis.mono_to_basis
+    return tuple(vals)

@@ -15,7 +15,7 @@ power asked for.
 from array import array
 import math
 
-from .linalg import Matrix, identity, mat_mul
+from .linalg import Matrix
 
 _thetas = {}
 
@@ -139,13 +139,3 @@ def build_theta(n):
         e[n * size + n - 1] = -1.0 / (2.0 * math.sqrt((2 * n - 1) * (2 * n + 1)))
         op = _thetas[n] = OperationalMatrix(n, Matrix(size, size, e))
     return op
-
-
-def theta_power(m, k):
-    """Theta^k by repeated multiplication; Theta^0 is the identity."""
-    if not isinstance(k, int) or k < 0:
-        raise ValueError("power must be a non-negative integer, got %r" % (k,))
-    acc = identity(m.n + 1)
-    for _ in range(k):
-        acc = mat_mul(acc, m.theta)
-    return acc

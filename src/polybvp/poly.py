@@ -104,10 +104,6 @@ def integrate(p):
     return Polynomial(out)
 
 
-def as_float(p):
-    return Polynomial([float(c) for c in p.coeffs])
-
-
 def compose_linear(p, a, b):
     """The polynomial q(x) = p(a*x + b), by Horner's scheme on a coefficient list."""
     acc = [p.coeffs[-1]]

@@ -35,7 +35,7 @@ oracle for the general assembly.
 
 import math
 
-from .approx import _eval_checked, project
+from .approx import _eval_checked, project, reconstruct
 from .basis import legendre_basis
 from .linalg import (
     Matrix,
@@ -275,11 +275,7 @@ def assemble(p, basis, theta):
 
 def _reconstruct_mapped(c, gammas, basis, m):
     """Exact m-fold antiderivative of C^T phi plus the gamma polynomial."""
-    y = [0.0] * (basis.n + 1)
-    for ck, phi in zip(c, basis.phis):
-        if ck:
-            for j, v in enumerate(phi.coeffs):
-                y[j] += ck * v
+    y = reconstruct(c, basis).coeffs
     for _ in range(m):
         y = [0.0] + [v / (k + 1) for k, v in enumerate(y)]
     for j, g in enumerate(gammas):
@@ -327,8 +323,8 @@ def _finish(p, mapped, c, gammas, basis):
         solution_poly = compose_linear(mapped_poly, 1.0 / h, -x0 / h)
     res_max, bc_max, diverged = _diagnostics(p, solution_poly)
     return BvpSolution(
-        Vector(c),
-        Vector(gammas),
+        Vector._of(c),
+        Vector._of(gammas),
         solution_poly,
         mapped_poly,
         res_max,
@@ -350,9 +346,10 @@ def solve(p):
         raise IllPosedProblemError(
             "boundary conditions leave the system singular at column %d" % exc.column
         ) from None
-    c = list(x)[: n + 1]
+    x = list(x)
+    c = x[: n + 1]
     fixed, free, _right = _gamma_split(mapped)
-    tail = list(x)[n + 1 :]
+    tail = x[n + 1 :]
     gammas = [0.0] * mapped.order
     for j, val in fixed.items():
         gammas[j] = val

@@ -38,7 +38,6 @@ from polybvp.basis import (
     gram_schmidt_basis,
     inner_product,
     legendre_basis,
-    monomial_conversion,
 )
 from polybvp.cli import example_exact, example_problem
 from polybvp.linalg import Vector, mat_vec
@@ -184,10 +183,10 @@ def test_criterion_6_integration_matrix_identities():
 def test_criterion_7_closed_form_second_order_path():
     n = 6
     basis = gram_schmidt_basis(n)
-    t = monomial_conversion(basis)
+    t0, t1_row = basis.projection_row(0), basis.projection_row(1)
     v2 = mat_vec(build_theta(n).theta, Vector([1.0] + [0.0] * n))
     a0, a1 = 2.0, 3.0
-    t1 = [a0 * t.at(1, k) + a1 * t.at(0, k) for k in range(n + 1)]
+    t1 = [a0 * t1_row[k] + a1 * t0[k] for k in range(n + 1)]
     s3 = math.sqrt(3.0)
     want = {
         (0, 0): 2.0,

@@ -17,10 +17,9 @@ from polybvp.basis import (
     gram_schmidt_basis,
     inner_product,
     legendre_basis,
-    monomial_conversion,
 )
-from polybvp.linalg import mat_mul
-from polybvp.poly import Polynomial, bernoulli_polynomial, eval_poly, scale
+from polybvp.linalg import Matrix, mat_mul
+from polybvp.poly import Polynomial, bernoulli_polynomial, eval_poly
 
 
 def max_coeff_dev(p, expected):
@@ -69,14 +68,16 @@ def test_legendre_low_order_fixtures(k, expected):
 def test_constructions_agree():
     """The float views of both constructions are equal, not merely close:
     the solver builds its basis from the recurrence, so every float it
-    reads must be the one Gram-Schmidt gives.  Rows with p > n are read by
-    problems whose order exceeds the degree (order 9 at n = 7)."""
+    reads must be the one Gram-Schmidt gives.  That holds because the exact
+    forms are equal.  Rows p <= n are the monomial-to-basis conversion;
+    rows with p > n are read by problems whose order exceeds the degree
+    (order 9 at n = 7)."""
     for n in (1, 12, 20, 30):
         gs = gram_schmidt_basis(n)
         lg = legendre_basis(n)
+        assert gs.integer_coeffs == lg.integer_coeffs, n
+        assert gs.scale_sq == lg.scale_sq, n
         assert gs.phis == lg.phis, n
-        assert gs.basis_to_mono == lg.basis_to_mono, n
-        assert gs.mono_to_basis == lg.mono_to_basis, n
         for p in range(n + 9):
             assert gs.projection_row(p) == lg.projection_row(p), (n, p)
 
@@ -216,7 +217,6 @@ def test_eval_basis_matches_horner_within_representation_floor():
 
 def test_monomial_conversion_rows():
     basis = gram_schmidt_basis(4)
-    t = monomial_conversion(basis)
     s3 = 1.0 / (2.0 * math.sqrt(3))
     rows = [
         [1.0, 0.0, 0.0, 0.0, 0.0],
@@ -224,29 +224,50 @@ def test_monomial_conversion_rows():
         [1.0 / 3.0, s3, 1.0 / (6.0 * math.sqrt(5)), 0.0, 0.0],
     ]
     for p, want in enumerate(rows):
-        got = t.row(p)
+        got = basis.projection_row(p)
         assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12, p
 
 
 def test_conversion_matrices_are_inverse():
+    """Rows <x^p, phi_k> times the phi coefficient matrix give the identity."""
     basis = gram_schmidt_basis(9)
-    prod = mat_mul(basis.mono_to_basis, basis.basis_to_mono)
+    t = Matrix.from_rows([basis.projection_row(p) for p in range(10)])
+    b = Matrix.from_rows(
+        [list(phi.coeffs) + [0.0] * (10 - len(phi.coeffs)) for phi in basis.phis]
+    )
+    prod = mat_mul(t, b)
     for i in range(10):
         for j in range(10):
             assert abs(prod.at(i, j) - (1.0 if i == j else 0.0)) <= 1e-10
 
 
 def test_conversion_expands_monomials():
-    # zeta^p really equals sum_k T[p][k] phi_k, checked pointwise
+    # zeta^p really equals sum_k <zeta^p, phi_k> phi_k, checked pointwise
     n = 6
     basis = gram_schmidt_basis(n)
-    t = basis.mono_to_basis
     for p in range(n + 1):
+        row = basis.projection_row(p)
         for i in range(11):
             x = i / 10.0
             vals = eval_basis(basis, x)
-            expanded = sum(t.at(p, k) * vals[k] for k in range(n + 1))
+            expanded = sum(row[k] * vals[k] for k in range(n + 1))
             assert abs(expanded - x**p) <= 1e-11, (p, x)
+
+
+@pytest.mark.parametrize("construct", [gram_schmidt_basis, legendre_basis])
+@pytest.mark.parametrize("n", [1, 12, 30])
+def test_projection_rows_expand_monomials_exactly(construct, n):
+    """For p <= n the exact rows expand x^p with zero rounding:
+    x^p = sum_k <x^p, phi_k> phi_k = sum_k w_k scale_sq[k] V_k."""
+    basis = construct(n)
+    for p in range(n + 1):
+        acc = [Fraction(0)] * (n + 1)
+        for w, s, vec in zip(
+            basis.projection_row_exact(p), basis.scale_sq, basis.integer_coeffs
+        ):
+            for j, v in enumerate(vec):
+                acc[j] += w * s * v
+        assert acc == [Fraction(int(j == p)) for j in range(n + 1)], (n, p)
 
 
 def test_degree_range_errors():

@@ -1,5 +1,6 @@
 """Command-line behaviour, driven through main(argv) with captured output."""
 
+import hashlib
 import math
 import os
 
@@ -268,6 +269,28 @@ def test_approx_rejects_weak_rule(capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert "not exact" in captured.err
+
+
+# ----------------------------------------------------------- pinned dumps
+
+# sha256 of the stdout of each command.  The basis, Theta and projection
+# code behind these dumps must keep every printed digit.
+DUMP_SHA256 = {
+    ("basis", "30"): "551d7409081d310d0275e66eb3db210ad5ea121a2a397e555cba26c1b8946742",
+    ("opmatrix", "12"): "6ccbb82139d9800ace81c3c575b32db5a588ddde0c5586be0e2775769985085d",
+    ("approx", "exp(x)", "--n", "10"):
+        "3630be2bb4b7be349b2025e7d9ddfed3ba93768cd01149bc2ceae11d059ee1a0",
+    ("approx", "exp(x)", "--n", "10", "--q", "40"):
+        "6d36e69c258232224a4f854390ea8b912698c8db6f8b17354bc71f272fd7e710",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(DUMP_SHA256), ids=" ".join)
+def test_dumps_are_byte_identical(argv, capsys):
+    rc = main(list(argv))
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == DUMP_SHA256[argv]
 
 
 # ------------------------------------------------------------- error paths

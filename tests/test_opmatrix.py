@@ -17,8 +17,8 @@ import pytest
 
 from polybvp.approx import gauss_legendre_rule
 from polybvp.basis import eval_basis, gram_schmidt_basis
-from polybvp.linalg import Vector, mat_mul, mat_vec
-from polybvp.opmatrix import OperationalMatrix, build_theta, theta_power
+from polybvp.linalg import Vector, mat_vec
+from polybvp.opmatrix import OperationalMatrix, build_theta
 
 
 def sub_entry(i):
@@ -76,14 +76,6 @@ def test_closed_form_structure(n):
             else:
                 want = sub_entry(n) if j == n - 1 else 0.0
             assert theta.at(i, j) == want, (i, j)
-
-
-def test_theta_power_trivial_cases():
-    op = build_theta(4)
-    p0 = theta_power(op, 0)
-    assert all(p0.at(i, j) == (1.0 if i == j else 0.0) for i in range(5) for j in range(5))
-    assert theta_power(op, 1) == op.theta
-    assert theta_power(op, 2) == mat_mul(op.theta, op.theta)
 
 
 def test_double_integral_of_constant_direction():

@@ -17,7 +17,7 @@ import random
 import pytest
 
 from polybvp.approx import EvaluationError, project
-from polybvp.basis import gram_schmidt_basis, legendre_basis, monomial_conversion
+from polybvp.basis import gram_schmidt_basis, legendre_basis
 from polybvp.exprparse import ExprEvalError, compile_function
 from polybvp.linalg import (
     LinAlgError,
@@ -222,13 +222,13 @@ class TestAssemble:
         n = 6
         basis = gram_schmidt_basis(n)
         theta = build_theta(n)
-        t = monomial_conversion(basis)
+        t0, t1_row = basis.projection_row(0), basis.projection_row(1)
         e0 = Vector([1.0] + [0.0] * n)
         v2 = mat_vec(theta.theta, e0)  # coefficients of the double integral of phi_0
         for _ in range(5):
             a0 = rng.uniform(-10, 10)
             a1 = rng.uniform(-10, 10)
-            t1 = [a0 * t.at(1, k) + a1 * t.at(0, k) for k in range(n + 1)]
+            t1 = [a0 * t1_row[k] + a1 * t0[k] for k in range(n + 1)]
             lmat = [[v2[i] * t1[k] for k in range(n + 1)] for i in range(n + 1)]
             s3 = math.sqrt(3)
             assert abs(lmat[0][0] - (a0 + 2 * a1) / 4.0) <= 1e-14
