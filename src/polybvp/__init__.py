@@ -56,6 +56,7 @@ from .poly import (
 from .refode import (
     DivergenceError,
     IvpSystem,
+    StepLimitError,
     UnsupportedProblemError,
     integrate_rk4,
     reference_solution,
@@ -93,6 +94,7 @@ __all__ = [
     "QuadratureError",
     "QuadratureRule",
     "SingularMatrixError",
+    "StepLimitError",
     "UnsupportedProblemError",
     "Vector",
     "assemble",

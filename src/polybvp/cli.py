@@ -37,7 +37,7 @@ import sys
 
 from .basis import gram_schmidt_basis
 from .approx import gauss_legendre_rule, max_abs_error, project, reconstruct
-from .exprparse import compile_function, parse as parse_expr
+from .exprparse import compile_function
 from .opmatrix import build_theta
 from .refode import reference_solution
 from .solver import BoundaryCondition, BvpProblem, solve

@@ -1,10 +1,11 @@
-"""Fixed-step RK4 reference integrator for initial value problems.
+"""RK4 reference integrator for initial value problems.
 
 Provides the comparison solution for problems without a closed form: the
 scalar ODE is rewritten in first-order companion form, integrated with
-classical Runge-Kutta, and wrapped in a piecewise cubic Hermite evaluator
-built from the stored state (the slope of y is just the next companion
-component, so no extra derivative evaluations are needed).
+classical Runge-Kutta at a step count chosen by step doubling, and wrapped
+in a piecewise cubic Hermite evaluator built from the stored state (the
+slope of y is just the next companion component, so no extra derivative
+evaluations are needed).
 """
 
 import math
@@ -17,6 +18,10 @@ class DivergenceError(RuntimeError):
 
 
 class UnsupportedProblemError(ValueError):
+    pass
+
+
+class StepLimitError(RuntimeError):
     pass
 
 
@@ -40,48 +45,68 @@ class IvpSystem:
 
 
 def _axpy(u, c, v):
-    return tuple(a + c * b for a, b in zip(u, v))
+    return tuple([a + c * b for a, b in zip(u, v)])
 
 
 def integrate_rk4(sys, x_end, steps):
-    """Trajectory [(x0, y0), ..., (x_end, y_end)] of classical RK4."""
+    """Trajectory [(x0, y0), ..., (x_end, y_end)] of classical RK4.
+
+    Stage abscissa j is x0 + span * (j / (2*steps)): j = 2i for k1, 2i+1 for
+    k2 and k3, 2i+2 for k4 and the node.  So the two midpoint stages share
+    one abscissa, k4 of step i shares one with k1 of step i+1, and every
+    node of a run at N steps is bit-for-bit a node of the run at 2N steps.
+    """
     if not isinstance(steps, int) or steps < 1:
         raise ValueError("steps must be a positive integer")
-    h = (x_end - sys.x0) / steps
-    x = sys.x0
+    x0 = sys.x0
+    span = x_end - x0
+    h = span / steps
+    h2 = 0.5 * h
+    h6 = h / 6.0
+    parts = 2 * steps
+    x = x0
     u = sys.y0
     out = [(x, u)]
     f = sys.f
     for i in range(steps):
+        xm = x0 + span * ((2 * i + 1) / parts)
+        xn = x0 + span * ((2 * i + 2) / parts)
         k1 = f(x, u)
-        k2 = f(x + 0.5 * h, _axpy(u, 0.5 * h, k1))
-        k3 = f(x + 0.5 * h, _axpy(u, 0.5 * h, k2))
-        k4 = f(x + h, _axpy(u, h, k3))
+        k2 = f(xm, _axpy(u, h2, k1))
+        k3 = f(xm, _axpy(u, h2, k2))
+        k4 = f(xn, _axpy(u, h, k3))
         u = tuple(
-            a + (h / 6.0) * (b + 2.0 * c + 2.0 * d + e)
-            for a, b, c, d, e in zip(u, k1, k2, k3, k4)
+            [
+                a + h6 * (b + 2.0 * c + 2.0 * d + e)
+                for a, b, c, d, e in zip(u, k1, k2, k3, k4)
+            ]
         )
-        x = sys.x0 + (i + 1) * h
-        if any(not math.isfinite(v) for v in u):
+        x = xn
+        if not all(map(math.isfinite, u)):
             raise DivergenceError("non-finite state at step %d (x=%.17g)" % (i + 1, x))
         out.append((x, u))
     return out
 
 
 def _companion(p):
-    """Companion system of the mapped monic problem, on [0,1]."""
+    """Companion system of the mapped monic problem, on [0,1].
+
+    rhs is evaluated once per abscissa: the values are kept for the life of
+    the system, so stages and step-doubling levels that share an abscissa
+    share the evaluation.
+    """
     m = p.order
-    low = p.coefficients[:m]
+    terms = [(k, a) for k, a in enumerate(p.coefficients[:m]) if a != 0.0]
     rhs = p.rhs
+    memo = {}
 
     def f(z, u):
-        du = list(u[1:])
-        acc = rhs(z)
-        for a, v in zip(low, u):
-            if a != 0.0:
-                acc -= a * v
-        du.append(acc)
-        return tuple(du)
+        acc = memo.get(z)
+        if acc is None:
+            acc = memo[z] = rhs(z)
+        for k, a in terms:
+            acc -= a * u[k]
+        return u[1:] + (acc,)
 
     init = [0.0] * m
     for bc in p.bcs:
@@ -89,12 +114,43 @@ def _companion(p):
     return IvpSystem(m, f, 0.0, init)
 
 
-def reference_solution(p, steps=20000):
+# Step doubling: the first level, the largest level tried, and the stop
+# rule's tolerance relative to max(1, max|y|).
+_FIRST_STEPS = 2500
+_MAX_STEPS = 80000
+_RELATIVE_TOL = 1e-13
+
+
+def _doubled_trajectory(sys):
+    """(trajectory, estimate) at the first doubled level that meets the tolerance.
+
+    The Richardson estimate of the finer level's error is
+    max |y_2N - y_N| / 15 over the nodes the two levels share.
+    """
+    steps = _FIRST_STEPS
+    coarse = integrate_rk4(sys, 1.0, steps)
+    while 2 * steps <= _MAX_STEPS:
+        steps *= 2
+        traj = integrate_rk4(sys, 1.0, steps)
+        estimate = max(abs(a[1][0] - b[1][0]) for a, b in zip(traj[::2], coarse)) / 15.0
+        if estimate <= _RELATIVE_TOL * max(1.0, max(abs(u[0]) for _, u in traj)):
+            return traj, estimate
+        coarse = traj
+    raise StepLimitError(
+        "reference integration unresolved at the %d-step cap: Richardson "
+        "estimate %.3g exceeds %.0e relative" % (steps, estimate, _RELATIVE_TOL)
+    )
+
+
+def reference_solution(p, steps=None):
     """Dense-output evaluator x -> y(x) for an all-left-BC problem.
 
     Integrates the companion form over [0,1] in mapped coordinates and
     interpolates with cubic Hermite pieces; the slope at each node comes for
-    free from the companion state.
+    free from the companion state.  Without `steps` the step count doubles
+    from 2500 until the Richardson estimate is at most 1e-13 max(1, max|y|),
+    and StepLimitError is raised past 80 000 steps.  The evaluator carries
+    `steps` and `richardson_estimate` (None when `steps` was given).
     """
     for bc in p.bcs:
         if bc.side != "left":
@@ -104,7 +160,10 @@ def reference_solution(p, steps=20000):
             )
     mapped = map_domain(p)
     sys = _companion(mapped)
-    traj = integrate_rk4(sys, 1.0, steps)
+    if steps is None:
+        traj, estimate = _doubled_trajectory(sys)
+    else:
+        traj, estimate = integrate_rk4(sys, 1.0, steps), None
     if mapped.order >= 2:
         slopes = [u[1] for _, u in traj]
     else:
@@ -112,7 +171,7 @@ def reference_solution(p, steps=20000):
     values = [u[0] for _, u in traj]
     x0, x1 = p.domain
     span = x1 - x0
-    n = steps
+    n = len(traj) - 1
     step = 1.0 / n
 
     def evaluator(x):
@@ -135,4 +194,6 @@ def reference_solution(p, steps=20000):
             + (t3 - t2) * s1
         )
 
+    evaluator.steps = n
+    evaluator.richardson_estimate = estimate
     return evaluator

@@ -274,7 +274,8 @@ def test_approx_rejects_weak_rule(capsys):
 # ----------------------------------------------------------- pinned dumps
 
 # sha256 of the stdout of each command.  The basis, Theta and projection
-# code behind these dumps must keep every printed digit.
+# code behind these dumps, and the solver and example-3 reference behind
+# the paper table, must keep every printed digit.
 DUMP_SHA256 = {
     ("basis", "30"): "551d7409081d310d0275e66eb3db210ad5ea121a2a397e555cba26c1b8946742",
     ("opmatrix", "12"): "6ccbb82139d9800ace81c3c575b32db5a588ddde0c5586be0e2775769985085d",
@@ -282,6 +283,8 @@ DUMP_SHA256 = {
         "3630be2bb4b7be349b2025e7d9ddfed3ba93768cd01149bc2ceae11d059ee1a0",
     ("approx", "exp(x)", "--n", "10", "--q", "40"):
         "6d36e69c258232224a4f854390ea8b912698c8db6f8b17354bc71f272fd7e710",
+    ("paper", "--example", "all"):
+        "9b550723da3481569520b5835e4414f44e6ca98e46b04ba20ed57eb77b5a9e1c",
 }
 
 

@@ -6,7 +6,6 @@ difference).  The first ten Bernoulli numbers are cross-checked against a
 hard-coded table so the alternating-sum generator cannot drift silently.
 """
 
-import math
 import random
 
 import pytest

@@ -8,6 +8,7 @@ from polybvp.exprparse import compile_function
 from polybvp.refode import (
     DivergenceError,
     IvpSystem,
+    StepLimitError,
     UnsupportedProblemError,
     integrate_rk4,
     reference_solution,
@@ -19,12 +20,12 @@ def exp_system():
     return IvpSystem(1, lambda x, u: [u[0]], 0.0, [1.0])
 
 
-def tan_forced_problem(n=9):
+def tan_forced_problem(n=9, rhs=None):
     # y'' - 5y' + 2y = tan(x), y(0) = y'(0) = 0
     return BvpProblem(
         2,
         (2.0, -5.0, 1.0),
-        compile_function("tan(x)"),
+        rhs or compile_function("tan(x)"),
         (0.0, 1.0),
         [BoundaryCondition("left", 0, 0.0), BoundaryCondition("left", 1, 0.0)],
         n,
@@ -100,9 +101,58 @@ def test_reference_on_pure_quadrature():
 
 
 def test_reference_step_halving_agreement():
+    """The step-doubled reference matches 40 000 fixed steps on the grid."""
     ref = reference_solution(tan_forced_problem())
-    doubled = reference_solution(tan_forced_problem(), steps=40000)
-    assert abs(ref(1.0) - doubled(1.0)) <= 1e-10
+    fixed = reference_solution(tan_forced_problem(), steps=40000)
+    assert fixed.steps == 40000 and fixed.richardson_estimate is None
+    worst = max(abs(ref(i / 1000.0) - fixed(i / 1000.0)) for i in range(1001))
+    assert worst <= 1e-12
+
+
+def test_reference_evaluates_each_abscissa_once():
+    """Midpoint stages, step ends and doubling levels share rhs evaluations."""
+    tan = compile_function("tan(x)")
+    seen = []
+
+    def rhs(x):
+        seen.append(x)
+        return tan(x)
+
+    ref = reference_solution(tan_forced_problem(rhs=rhs))
+    assert len(set(seen)) == len(seen)
+    assert len(seen) == 2 * ref.steps + 1
+    assert ref.richardson_estimate <= 1e-13
+
+
+def test_stage_abscissae_are_the_nodes_of_the_doubled_run():
+    """k4 of a step and k1 of the next share an abscissa; the midpoint
+    stages sit exactly on the odd nodes of the run at twice the steps."""
+    seen = set()
+
+    def f(x, u):
+        seen.add(x)
+        return [u[0]]
+
+    integrate_rk4(IvpSystem(1, f, 0.3, [1.0]), 1.0, 300)
+    fine = integrate_rk4(IvpSystem(1, lambda x, u: [u[0]], 0.3, [1.0]), 1.0, 600)
+    assert seen == {x for x, _ in fine}
+
+
+def test_unresolved_reference_raises_at_the_step_cap():
+    """A jump at an irrational point keeps RK4 at low order: no return."""
+    jump = 1.0 / math.sqrt(2.0)
+    seen = []
+
+    def rhs(x):
+        seen.append(x)
+        return 1.0 if x > jump else 0.0
+
+    p = BvpProblem(
+        1, (0.0, 1.0), rhs, (0.0, 1.0), [BoundaryCondition("left", 0, 0.0)], 5
+    )
+    with pytest.raises(StepLimitError, match="80000-step cap"):
+        reference_solution(p)
+    assert len(seen) == 2 * 80000 + 1  # every abscissa of the capped level, once
 
 
 def test_hermite_interpolation_error():
