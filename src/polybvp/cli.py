@@ -177,6 +177,8 @@ def _write_csv(path, header, rows):
 
 
 def cmd_solve(args):
+    if args.grid < 2:
+        raise ValueError("grid needs at least 2 points, got %d" % args.grid)
     problem, exact = load_problem_file(args.file)
     sol = solve(problem)
     poly = sol.solution_poly

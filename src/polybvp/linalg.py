@@ -5,6 +5,14 @@ these are deliberately plain: row-major storage, triple-loop products,
 Gaussian elimination with partial pivoting.  Values are immutable after
 construction and always finite.
 
+A matrix the program computes may carry row extents, one (start, end)
+per row: the row is +0.0 outside columns start..end-1, no entry is -0.0,
+and the starts never decrease down the rows.  Only the solver's assembled
+system carries them, derived from its structure; every other matrix
+carries none and counts as full.  solve_linear eliminates within the
+extents.  What it skips would subtract a signed zero, so the solution is
+the dense elimination's, up to the sign of a component that is zero.
+
 Validation happens where values enter from outside the program: the
 Matrix and Vector constructors convert every entry with float() and reject
 non-finite ones.  What the package computes itself (the products, sums
@@ -72,7 +80,7 @@ class Vector:
 class Matrix:
     """Dense rows x cols matrix, entries row-major."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "extents")
 
     def __init__(self, rows, cols, entries):
         entries = [float(v) for v in entries]
@@ -87,15 +95,18 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self.entries = tuple(entries)
+        self.extents = None
 
     @classmethod
-    def _of(cls, rows, cols, entries):
+    def _of(cls, rows, cols, entries, extents=None):
         """A rows x cols matrix over floats the program computed, row-major:
-        checked for finiteness, not converted or reshaped."""
+        checked for finiteness, not converted or reshaped, with optional
+        row extents (module docstring)."""
         self = object.__new__(cls)
         self.rows = rows
         self.cols = cols
         self.entries = tuple(entries)
+        self.extents = extents
         _check_finite(self.entries, "matrix")
         return self
 
@@ -181,22 +192,32 @@ def outer(u, v):
     return Matrix._of(len(u), len(v), [x * y for x in u for y in v])
 
 
-def _lu_factor(m, threshold):
-    """In-place LU with partial pivoting on the row lists `m`.
+def _lu_factor(m, extents, threshold):
+    """In-place LU with partial pivoting on the row lists `m`, within the
+    row extents.
 
-    Returns (m, perm) where the rows now hold L (below diagonal, unit
-    implied) and U (on/above).  A pivot below `threshold` (1e-13 times the
-    largest initial |entry|) is treated as structural singularity (an
-    ill-posed assembly), not round-off, and reported with the offending
-    column.  Among equal candidates the first row is the pivot.
+    Returns (m, perm, starts, ends): the rows now hold L (below diagonal,
+    unit implied, from starts[i]) and U (on/above, up to ends[i]).  A pivot
+    below `threshold` (1e-13 times the largest initial |entry|) is treated
+    as structural singularity (an ill-posed assembly), not round-off, and
+    reported with the offending column.  Among equal candidates the first
+    row is the pivot.  The candidates are the rows whose extent starts at
+    or before the column; rows not reached yet keep their order, so they
+    are rows col..hi-1.  An update runs to the end of the pivot row's
+    extent, which the updated row's extent then reaches too.
     """
     # Plain indexed loops: on rows this short they beat slicing, zip and
     # comprehensions (measured on CPython 3.11).
     n = len(m)
     perm = list(range(n))
+    starts = [s for s, _ in extents]
+    ends = [e for _, e in extents]
+    hi = 0
     for col in range(n):
+        while hi < n and starts[hi] <= col:
+            hi += 1
         piv, pabs = col, abs(m[col][col])
-        for r in range(col + 1, n):
+        for r in range(col + 1, hi):
             v = abs(m[r][col])
             if v > pabs:
                 piv, pabs = r, v
@@ -206,32 +227,43 @@ def _lu_factor(m, threshold):
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
             perm[col], perm[piv] = perm[piv], perm[col]
+            starts[col], starts[piv] = starts[piv], starts[col]
+            ends[col], ends[piv] = ends[piv], ends[col]
         prow = m[col]
-        for r in range(col + 1, n):
-            f = m[r][col] / pval
-            m[r][col] = f
+        pend = ends[col]
+        for r in range(col + 1, hi):
+            row = m[r]
+            f = row[col] / pval
+            row[col] = f
             if f == 0.0:
                 continue
-            row = m[r]
-            for c in range(col + 1, n):
+            for c in range(col + 1, pend):
                 row[c] -= f * prow[c]
-    return m, perm
+            if ends[r] < pend:
+                ends[r] = pend
+    return m, perm, starts, ends
 
 
-def _lu_solve(m, perm, b):
+def _lu_solve(lu, b):
+    m, perm, starts, ends = lu
     n = len(perm)
     x = [b[p] for p in perm]
-    for col in range(n):
-        xc = x[col]
-        if xc != 0.0:
-            for r in range(col + 1, n):
-                x[r] -= m[r][col] * xc
-    for col in range(n - 1, -1, -1):
-        s = x[col]
-        row = m[col]
-        for c in range(col + 1, n):
+    # Row by row from each row's start: the column sweep's operations on
+    # each x[r] in the same order, zero x[c] skipped as there.
+    for r in range(n):
+        s = x[r]
+        row = m[r]
+        for c in range(starts[r], r):
+            xc = x[c]
+            if xc != 0.0:
+                s -= row[c] * xc
+        x[r] = s
+    for r in range(n - 1, -1, -1):
+        s = x[r]
+        row = m[r]
+        for c in range(r + 1, ends[r]):
             s -= row[c] * x[c]
-        x[col] = s / row[col]
+        x[r] = s / row[r]
     return x
 
 
@@ -244,7 +276,9 @@ def solve_linear(a, b):
     ulps, which downstream polynomial reconstruction needs because basis
     coefficients get amplified by large monomial coefficients.  Both
     operands are finite by construction, so nothing is validated again; the
-    work runs on plain row lists.
+    work runs on plain row lists, within the matrix's row extents if it
+    has them.  A residual sums its row's extent only: fsum is exact, so
+    the zero products outside it would not change its value.
     """
     if a.rows != a.cols:
         raise LinAlgError("solve needs a square matrix, got %dx%d" % (a.rows, a.cols))
@@ -254,14 +288,20 @@ def solve_linear(a, b):
         )
     n = a.rows
     flat = a.entries
-    rows = [flat[i * n : (i + 1) * n] for i in range(n)]
-    lu, perm = _lu_factor([list(r) for r in rows], 1e-13 * max(map(abs, flat)))
+    extents = a.extents or ((0, n),) * n
+    lu = _lu_factor(
+        [list(flat[i * n : (i + 1) * n]) for i in range(n)], extents,
+        1e-13 * max(map(abs, flat)),
+    )
+    rows = [(flat[i * n + s : i * n + e], s, e) for i, (s, e) in enumerate(extents)]
     rhs = b.entries
-    x = _lu_solve(lu, perm, rhs)
+    x = _lu_solve(lu, rhs)
     for _ in range(2):
-        residual = [math.fsum([*map(mul, row, x), -bi]) for row, bi in zip(rows, rhs)]
+        residual = [
+            math.fsum([*map(mul, row, x[s:e]), -bi]) for (row, s, e), bi in zip(rows, rhs)
+        ]
         if not any(residual):
             break
-        d = _lu_solve(lu, perm, residual)
+        d = _lu_solve(lu, residual)
         x = [xi - di for xi, di in zip(x, d)]
     return Vector._of(x)

@@ -221,11 +221,18 @@ def _monomial_columns(p, basis):
 
 
 def assemble(p, basis, theta):
-    """Joint linear system in (C, free gammas) for a monic problem on [0,1].
+    """Joint linear system in (free gammas, C) for a monic problem on [0,1].
 
-    Returns (Matrix, Vector).  Row layout: n+1 coefficient-matching rows,
-    then one row per right-side boundary condition (ordered by derivative).
-    Column layout: C_0..C_n, then the free gammas ascending.
+    Returns (Matrix, Vector), in almost-banded order.  Rows: one per
+    right-side boundary condition (ascending derivative), then the n+1
+    coefficient-matching rows.  Columns: the f free gammas ascending, then
+    C_0..C_n.  The matrix carries row extents derived from that structure,
+    not from its values: endpoint row d reaches the gammas and
+    C_0..C_min(n, m-d-1) (Theta^k e0 ends at index k); matching row k
+    reaches the gammas only for k < m (gamma_j's polynomial has degree
+    j < m) and C_max(0, k-m)..C_min(n, k+m) (the band of Theta^T's
+    powers).  The starts never decrease down the rows, and no entry is
+    -0.0, as linalg's extents require.
     """
     if p.domain != (0.0, 1.0) or p.coefficients[-1] != 1.0:
         raise ValueError("assemble expects a mapped, monic problem")
@@ -243,6 +250,7 @@ def assemble(p, basis, theta):
             theta.add_transposed_power(mc, ai, m - i)
 
     fixed, free, right = _gamma_split(p)
+    f = len(free)
     cols = _monomial_columns(p, basis)
     rho = list(project(p.rhs, basis).coeffs)
     for j, val in fixed.items():
@@ -252,25 +260,27 @@ def assemble(p, basis, theta):
 
     # The system is built from floats computed here, so Matrix._of and
     # Vector._of only check it for finiteness once.
-    dim = size + len(right)
-    free_cols = [cols[j] for j in free]
-    entries = []
-    for k in range(size):
-        entries += mc[k]
-        entries += [col[k] for col in free_cols]
-
-    # endpoint rows: y^(d)(1) = C.Theta^(m-d-1) e0 + sum_{j>=d} gamma_j/(j-d)!
+    entries, extents, rhs = [], [], []
+    # endpoint rows: y^(d)(1) = sum_{j>=d} gamma_j/(j-d)! + C.Theta^(m-d-1) e0
     for bc in right:
         d = bc.derivative_order
-        entries += theta.endpoint(m - d - 1)
         entries += [(1.0 / math.factorial(j - d) if j >= d else 0.0) for j in free]
+        entries += theta.endpoint(m - d - 1)
+        extents.append((0, f + min(n, m - d - 1) + 1))
         val = bc.value
         for j, gval in fixed.items():
             if j >= d and gval != 0.0:
                 val -= gval / math.factorial(j - d)
-        rho.append(val)
+        rhs.append(val)
 
-    return Matrix._of(dim, dim, entries), Vector._of(rho)
+    free_cols = [cols[j] for j in free]
+    for k in range(size):
+        entries += [col[k] for col in free_cols]
+        entries += mc[k]
+        extents.append((0 if k < m else f + k - m, f + min(n, k + m) + 1))
+
+    dim = f + size
+    return Matrix._of(dim, dim, entries, tuple(extents)), Vector._of(rhs + rho)
 
 
 def _reconstruct_mapped(c, gammas, basis, m):
@@ -340,22 +350,23 @@ def solve(p):
     basis = legendre_basis(n)
     theta = build_theta(n)
     a, b = assemble(mapped, basis, theta)
+    fixed, free, _right = _gamma_split(mapped)
     try:
         x = solve_linear(a, b)
     except SingularMatrixError as exc:
+        col = exc.column
+        name = "gamma_%d" % free[col] if col < len(free) else "C_%d" % (col - len(free))
         raise IllPosedProblemError(
-            "boundary conditions leave the system singular at column %d" % exc.column
+            "boundary conditions leave the system singular at column %d (unknown %s)"
+            % (col, name)
         ) from None
     x = list(x)
-    c = x[: n + 1]
-    fixed, free, _right = _gamma_split(mapped)
-    tail = x[n + 1 :]
     gammas = [0.0] * mapped.order
     for j, val in fixed.items():
         gammas[j] = val
-    for j, val in zip(free, tail):
+    for j, val in zip(free, x):
         gammas[j] = val
-    return _finish(p, mapped, c, gammas, basis)
+    return _finish(p, mapped, x[len(free) :], gammas, basis)
 
 
 def solve_paper_second_order(p):

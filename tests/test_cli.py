@@ -156,6 +156,19 @@ def test_solve_failure_writes_no_csv(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("points", [1, 0, -3])
+def test_solve_rejects_a_grid_below_two_points(tmp_path, capsys, points):
+    out = tmp_path / "sol.csv"
+    for text in (EX1_FILE, EX1_FILE.replace("exact = ", "# exact = ")):
+        rc = main(["solve", write_problem(tmp_path, text), "--grid", str(points),
+                   "--csv", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == "error: grid needs at least 2 points, got %d\n" % points
+        assert not out.exists()
+
+
 def test_solve_missing_file(capsys):
     rc = main(["solve", "/no/such/problem.txt"])
     captured = capsys.readouterr()

@@ -10,8 +10,11 @@ from polybvp.linalg import (
     SingularMatrixError,
     Vector,
     identity,
+    mat_add,
     mat_mul,
+    mat_scale,
     mat_vec,
+    outer,
     solve_linear,
     transpose,
 )
@@ -134,6 +137,24 @@ class TestContainers:
             mat_mul(big, big)
         with pytest.raises(LinAlgError, match="non-finite entry inf in vector"):
             mat_vec(big, Vector([1e200]))
+
+    def test_only_the_assembled_system_carries_extents(self):
+        """User input and every product, sum or transpose is solved as a
+        full matrix: none of them carries row extents."""
+        rng = random.Random(59)
+        a = rand_matrix(rng, 3)
+        u = Vector([1.0, -2.0, 0.5])
+        made = [
+            a,
+            Matrix.from_rows(a.to_rows()),
+            identity(3),
+            transpose(a),
+            mat_mul(a, a),
+            mat_add(a, a),
+            mat_scale(a, -0.5),
+            outer(u, u),
+        ]
+        assert [m.extents for m in made] == [None] * len(made)
 
     def test_entries_immutable(self):
         a = identity(2)

@@ -13,6 +13,7 @@ to 6.4e-13 or better throughout.
 
 import math
 import random
+import re
 
 import pytest
 
@@ -257,6 +258,29 @@ class TestAssemble:
                     assert a == want_a, (n, m, p.coefficients, p.bcs)
                     assert b == want_b, (n, m, p.coefficients, p.bcs)
 
+    def test_row_extents_hold_every_nonzero(self):
+        """The extents assemble derives from structure hold every nonzero,
+        with +0.0 outside them, no -0.0 anywhere and starts that never
+        decrease down the rows: orders 1..9 at n in {1, 2, 7, 30}, m - 1 > n
+        included, all-right, mixed and all-left conditions."""
+        rng = random.Random(61)
+        for n in (1, 2, 7, 30):
+            basis = legendre_basis(n)
+            theta = build_theta(n)
+            for m in range(1, 10):
+                for right in (m, None, 0):
+                    p = random_mapped_problem(rng, n, m, right=right)
+                    a, _ = assemble(p, basis, theta)
+                    assert a.extents is not None and len(a.extents) == a.rows
+                    starts = [s for s, _ in a.extents]
+                    assert starts == sorted(starts), (n, m, p.bcs)
+                    for i, (s, e) in enumerate(a.extents):
+                        assert 0 <= s < e <= a.cols, (n, m, i)
+                        row = a.row(i)
+                        outside = row[:s] + row[e:]
+                        assert hexes(outside) == hexes([0.0] * len(outside)), (n, m, i, p.bcs)
+                        assert all(v != 0.0 or math.copysign(1.0, v) > 0 for v in row)
+
     @pytest.mark.parametrize("orders", [(9, 3), (3, 9)])
     @pytest.mark.parametrize("n", [7, 30])
     def test_memo_grows_to_any_order(self, n, orders):
@@ -321,7 +345,8 @@ def random_mapped_problem(rng, n, m, right=None):
 
 
 def dense_assemble(p, basis, theta):
-    """assemble as it stood before the banded construction (test oracle)."""
+    """assemble as it stood before the banded construction (test oracle),
+    permuted into the almost-banded order."""
     n, m, size = basis.n, p.order, basis.n + 1
     tt = transpose(theta.theta)
     mc = None
@@ -355,7 +380,10 @@ def dense_assemble(p, basis, theta):
             if j >= d and gval != 0.0:
                 val -= gval / math.factorial(j - d)
         rhs.append(val)
-    return Matrix.from_rows(rows), Vector(rhs)
+    # assemble's almost-banded order: endpoint rows and gamma columns first
+    order = list(range(size, len(rows))) + list(range(size))
+    rows = [rows[i][size:] + rows[i][:size] for i in order]
+    return Matrix.from_rows(rows), Vector([rhs[i] for i in order])
 
 
 # ------------------------------------------------- solve_linear on systems
@@ -508,6 +536,22 @@ class TestSolve:
         )
         with pytest.raises(IllPosedProblemError, match="column"):
             solve(p)
+
+    def test_singular_system_names_the_unknown(self):
+        """The failing column is named as the unknown it holds in
+        assemble's order: the free gammas, then C_0..C_n."""
+        neumann = BvpProblem(
+            2, (0.0, 0.0, 1.0), lambda x: 1.0, (0.0, 1.0),
+            [BoundaryCondition("left", 1, 0.0), BoundaryCondition("right", 1, 1.0)], 6,
+        )
+        with pytest.raises(IllPosedProblemError, match=r"column 0 \(unknown gamma_0\)$"):
+            solve(neumann)
+        stiff = BvpProblem(2, (1e12, 0.0, 1.0), lambda x: 1.0, (0.0, 1.0),
+                           dirichlet(0.0, 0.0), 20)
+        with pytest.raises(IllPosedProblemError) as info:
+            solve(stiff)
+        found = re.search(r"column (\d+) \(unknown C_(\d+)\)$", str(info.value))
+        assert int(found[2]) == int(found[1]) - 1  # after the one free gamma
 
     def test_raising_rhs_names_the_point(self):
         p = BvpProblem(2, (0.0, 0.0, 1.0), lambda x: 1.0 / x, (0.0, 1.0),
