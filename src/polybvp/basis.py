@@ -45,19 +45,6 @@ def inner_product(f, g):
     return total
 
 
-def _ip_vec(u, v):
-    # term-rule inner product of two exact coefficient lists
-    total = Fraction(0)
-    for i, a in enumerate(u):
-        if a == 0:
-            continue
-        for j, b in enumerate(v):
-            if b == 0:
-                continue
-            total += Fraction(a * b, i + j + 1)
-    return total
-
-
 def _radical_float(c, s):
     """Correctly rounded float of c*sqrt(s) for exact rational c and s >= 0."""
     if c == 0:
@@ -118,7 +105,7 @@ def _check_degree(n):
 
 def _normalize_residual(r, k):
     """Split an exact residual vector into sqrt-scale and primitive V."""
-    q = _ip_vec(r, r)
+    q = inner_product(Polynomial(r), Polynomial(r))
     if q == 0:
         raise BasisConstructionError(
             "polynomial at index %d is dependent on its predecessors" % k
@@ -142,26 +129,21 @@ def _normalize_residual(r, k):
 def gram_schmidt_basis(n):
     """Orthonormalize the Bernoulli polynomials B_0..B_n on [0,1].
 
-    Modified Gram-Schmidt with one re-orthogonalization pass, in exact
-    rational arithmetic; signs fixed by positive leading coefficients.
+    Modified Gram-Schmidt in exact rational arithmetic, so one pass leaves
+    each residual exactly orthogonal to its predecessors; signs fixed by
+    positive leading coefficients.
     """
     _check_degree(n)
     vecs = []
     scales = []
     for k in range(n + 1):
-        r = [Fraction(c) for c in bernoulli_polynomial(k).coeffs]
-        for second_pass in (False, True):
-            for j in range(k):
-                c = _ip_vec(r, [Fraction(v) for v in vecs[j]])
-                if second_pass and c:
-                    leak = abs(_radical_float(c, scales[j]))
-                    if leak > 1e-8:
-                        raise BasisConstructionError(
-                            "orthogonality loss %.3e at index %d" % (leak, k)
-                        )
-                if c:
-                    cs = c * scales[j]
-                    r = [a - cs * v for a, v in zip(r, vecs[j] + (0,) * (len(r) - len(vecs[j])))]
+        r = list(bernoulli_polynomial(k).coeffs)
+        for j in range(k):
+            c = inner_product(Polynomial(r), Polynomial(vecs[j]))
+            if c:
+                cs = c * scales[j]
+                for i, v in enumerate(vecs[j]):
+                    r[i] -= cs * v
         vec, ssq = _normalize_residual(r, k)
         vecs.append(tuple(vec))
         scales.append(ssq)

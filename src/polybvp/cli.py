@@ -11,7 +11,7 @@ approx     project an expression onto the basis and report errors
 Problem files are line-oriented UTF-8 text.  Blank lines and lines starting
 with '#' are ignored; every other line is `key = value` with keys:
 
-    order      ODE order m (integer)
+    order      ODE order m (integer >= 1)
     interval   two reals x0 x1
     coeff[k]   real coefficient of y^(k), k = 0..order
                (omitted coeff[k] defaults to 0; coeff[order] defaults to 1)
@@ -101,6 +101,8 @@ def load_problem_file(path):
         order = int(value)
     except ValueError:
         fail(lineno, "order is not an integer: %r" % value)
+    if order < 1:
+        fail(lineno, "order must be at least 1, got %d" % order)
 
     lineno, value = scalars["interval"]
     parts = value.split()

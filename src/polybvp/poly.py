@@ -1,17 +1,17 @@
-"""Dense univariate polynomial arithmetic plus Bernoulli generators.
+"""Dense univariate polynomials and the Bernoulli polynomials.
 
 Coefficients are stored ascending (coeffs[k] multiplies x**k) and may be
-ints, Fractions or floats.  The arithmetic is plain coefficient-level
-arithmetic in whatever number type you feed it, so exact inputs stay exact;
-that property is load-bearing for the orthonormal basis construction.
+ints, Fractions or floats.  Evaluation, differentiation and linear
+substitution work in whatever number type they are given.  The Bernoulli
+polynomials are exact (Fraction coefficients): Gram-Schmidt over them is
+the paper's construction of the basis, carried out without rounding.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 import math
 
-# Bernoulli generation is capped where the alternating sums stay
-# double-precision safe once converted; nothing downstream needs more.
+# The largest basis degree; nothing downstream needs more.
 MAX_BERNOULLI = 30
 
 
@@ -57,51 +57,10 @@ def eval_poly(p, x):
     return acc
 
 
-def add(p, q):
-    n = max(len(p.coeffs), len(q.coeffs))
-    out = []
-    for k in range(n):
-        a = p.coeffs[k] if k < len(p.coeffs) else 0
-        b = q.coeffs[k] if k < len(q.coeffs) else 0
-        out.append(a + b)
-    return Polynomial(out)
-
-
-def scale(p, c):
-    return Polynomial([c * a for a in p.coeffs])
-
-
-def multiply(p, q):
-    out = [0] * (len(p.coeffs) + len(q.coeffs) - 1)
-    for i, a in enumerate(p.coeffs):
-        if a == 0:
-            continue
-        for j, b in enumerate(q.coeffs):
-            out[i + j] += a * b
-    return Polynomial(out)
-
-
 def differentiate(p):
     if len(p.coeffs) == 1:
         return Polynomial([0 * p.coeffs[0]])
     return Polynomial([k * c for k, c in enumerate(p.coeffs)][1:])
-
-
-def _div_exact(c, k):
-    # keep exact coefficient types exact; floats just divide
-    if isinstance(c, (int, Fraction)):
-        return Fraction(c, k)
-    return c / k
-
-
-def integrate(p):
-    """Antiderivative with zero constant term."""
-    if len(p.coeffs) == 1 and p.coeffs[0] == 0:
-        return Polynomial([p.coeffs[0]])
-    out = [0]
-    for k, c in enumerate(p.coeffs):
-        out.append(_div_exact(c, k + 1))
-    return Polynomial(out)
 
 
 def compose_linear(p, a, b):
@@ -132,19 +91,6 @@ def _bernoulli_exact(n):
     return -total
 
 
-def _check_bernoulli_range(n):
-    if not isinstance(n, int) or not 0 <= n <= MAX_BERNOULLI:
-        raise ValueError(
-            "Bernoulli index %r outside supported range 0..%d" % (n, MAX_BERNOULLI)
-        )
-
-
-def bernoulli_number(n):
-    """The n-th Bernoulli number (B_1 = -1/2 convention), as a float."""
-    _check_bernoulli_range(n)
-    return float(_bernoulli_exact(n))
-
-
 @lru_cache(maxsize=None)
 def _bernoulli_polynomial_exact(n):
     # B_n(x) = sum_j C(n,j) * b_j * x^(n-j), assembled ascending
@@ -154,5 +100,8 @@ def _bernoulli_polynomial_exact(n):
 
 def bernoulli_polynomial(n):
     """The degree-n Bernoulli polynomial with exact Fraction coefficients."""
-    _check_bernoulli_range(n)
+    if not isinstance(n, int) or not 0 <= n <= MAX_BERNOULLI:
+        raise ValueError(
+            "Bernoulli index %r outside supported range 0..%d" % (n, MAX_BERNOULLI)
+        )
     return _bernoulli_polynomial_exact(n)

@@ -145,18 +145,15 @@ class BvpSolution:
         "c",
         "gammas",
         "solution_poly",
-        "mapped_poly",
         "residual_max",
         "bc_residual_max",
         "diverged",
     )
 
-    def __init__(self, c, gammas, solution_poly, mapped_poly, residual_max,
-                 bc_residual_max, diverged):
+    def __init__(self, c, gammas, solution_poly, residual_max, bc_residual_max, diverged):
         self.c = c
         self.gammas = gammas
         self.solution_poly = solution_poly
-        self.mapped_poly = mapped_poly
         self.residual_max = residual_max
         self.bc_residual_max = bc_residual_max
         self.diverged = diverged
@@ -167,13 +164,22 @@ def map_domain(p):
 
     With h = x1-x0 the coefficient of the k-th mapped derivative picks up
     h^-k and order-d boundary values pick up h^d; the whole equation is then
-    divided by the leading coefficient.
+    divided by the leading coefficient.  A width whose powers leave the
+    double range raises ValueError.
     """
     x0, x1 = p.domain
     h = x1 - x0
     if (x0, x1) == (0.0, 1.0) and p.coefficients[-1] == 1.0:
         return p
-    lead = p.coefficients[-1] * h ** (-p.order)
+    try:
+        lead = p.coefficients[-1] * h ** (-p.order)
+        bc_values = [bc.value * h**bc.derivative_order for bc in p.bcs]
+    except OverflowError:
+        lead = math.inf
+    if not 0.0 < abs(lead) < math.inf:
+        raise ValueError(
+            "interval width %r is out of double range for an order-%d problem" % (h, p.order)
+        )
     coeffs = [p.coefficients[k] * h ** (-k) / lead for k in range(p.order + 1)]
     coeffs[-1] = 1.0
     rhs = p.rhs
@@ -181,10 +187,7 @@ def map_domain(p):
     def mapped_rhs(z, _r=rhs, _x0=x0, _h=h, _lead=lead):
         return _r(_x0 + _h * z) / _lead
 
-    bcs = [
-        BoundaryCondition(bc.side, bc.derivative_order, bc.value * h**bc.derivative_order)
-        for bc in p.bcs
-    ]
+    bcs = [BoundaryCondition(bc.side, bc.derivative_order, v) for bc, v in zip(p.bcs, bc_values)]
     return BvpProblem(p.order, coeffs, mapped_rhs, (0.0, 1.0), bcs, p.truncation)
 
 
@@ -324,23 +327,13 @@ def _diagnostics(p, solution_poly, grid=201):
 
 
 def _finish(p, mapped, c, gammas, basis):
-    mapped_poly = _reconstruct_mapped(c, gammas, basis, mapped.order)
+    solution_poly = _reconstruct_mapped(c, gammas, basis, mapped.order)
     x0, x1 = p.domain
-    if (x0, x1) == (0.0, 1.0):
-        solution_poly = mapped_poly
-    else:
+    if (x0, x1) != (0.0, 1.0):
         h = x1 - x0
-        solution_poly = compose_linear(mapped_poly, 1.0 / h, -x0 / h)
+        solution_poly = compose_linear(solution_poly, 1.0 / h, -x0 / h)
     res_max, bc_max, diverged = _diagnostics(p, solution_poly)
-    return BvpSolution(
-        Vector._of(c),
-        Vector._of(gammas),
-        solution_poly,
-        mapped_poly,
-        res_max,
-        bc_max,
-        diverged,
-    )
+    return BvpSolution(Vector._of(c), Vector._of(gammas), solution_poly, res_max, bc_max, diverged)
 
 
 def solve(p):

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import re
 
 import pytest
 
@@ -167,6 +168,32 @@ def test_solve_rejects_a_grid_below_two_points(tmp_path, capsys, points):
         assert captured.out == ""
         assert captured.err == "error: grid needs at least 2 points, got %d\n" % points
         assert not out.exists()
+
+
+ORDER9_FILE = "order = 9\ninterval = 0 1\nrhs = 1\nn = 5\n" + "".join(
+    "bc = left %d 0\n" % d for d in range(9)
+)
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        (ORDER9_FILE.replace("interval = 0 1", "interval = 0 1e-40"),
+         "interval width 1e-40 .* order-9 problem"),
+        (EX1_FILE.replace("interval = 0 1", "interval = 0 1e200"),
+         "interval width 1e\\+200 .* order-2 problem"),
+        (EX1_FILE.replace("order = 2", "order = -1"), "order must be at least 1, got -1"),
+        (EX1_FILE.replace("order = 2", "order = 0"), "order must be at least 1, got 0"),
+    ],
+    ids=["width-1e-40", "width-1e200", "order-1", "order0"],
+)
+def test_solve_rejects_bad_order_or_width_in_one_line(tmp_path, capsys, text, fragment):
+    rc = main(["solve", write_problem(tmp_path, text)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert re.match("error: .*" + fragment, captured.err)
+    assert captured.err.count("\n") == 1
 
 
 def test_solve_missing_file(capsys):

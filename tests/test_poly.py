@@ -1,26 +1,24 @@
-"""Polynomial arithmetic and the Bernoulli generators.
+"""Polynomials and the Bernoulli generators.
 
 The Bernoulli fixtures pin the printed low-order polynomials and the
 classical identities (zero mean on [0,1], derivative ladder, forward
-difference).  The first ten Bernoulli numbers are cross-checked against a
-hard-coded table so the alternating-sum generator cannot drift silently.
+difference).  The first ten Bernoulli numbers, the constant terms
+B_n(0), are cross-checked against a hard-coded table so the alternating-sum
+generator cannot drift silently.
 """
 
+from fractions import Fraction
 import random
 
 import pytest
 
+from polybvp.basis import inner_product
 from polybvp.poly import (
     Polynomial,
-    add,
-    bernoulli_number,
     bernoulli_polynomial,
     compose_linear,
     differentiate,
     eval_poly,
-    integrate,
-    multiply,
-    scale,
 )
 
 # b_0 .. b_9, from the classical table
@@ -64,24 +62,8 @@ def test_b3_vanishes_at_midpoint():
 
 def test_differentiate_b4_is_4_b3():
     d = differentiate(bernoulli_polynomial(4))
-    target = scale(bernoulli_polynomial(3), 4.0)
-    assert coeffs_close(d, target.coeffs, 1e-14)
-
-
-def test_integrate_zero_polynomial():
-    z = integrate(Polynomial([0.0]))
-    assert list(z.coeffs) == [0.0]
-
-
-def test_multiply_difference_of_squares():
-    got = multiply(Polynomial([-1.0, 1.0]), Polynomial([1.0, 1.0]))
-    assert list(got.coeffs) == [-1.0, 0.0, 1.0]
-
-
-def test_add_and_scale():
-    p = add(Polynomial([1.0, 2.0]), Polynomial([0.0, -2.0, 5.0]))
-    assert list(p.coeffs) == [1.0, 0.0, 5.0]
-    assert list(scale(p, -2.0).coeffs) == [-2.0, 0.0, -10.0]
+    target = [4.0 * c for c in bernoulli_polynomial(3).coeffs]
+    assert coeffs_close(d, target, 1e-14)
 
 
 def test_leading_zero_trim_and_degree():
@@ -95,21 +77,23 @@ def test_non_finite_coefficient_rejected():
         Polynomial([1.0, float("nan")])
 
 
+def bernoulli_number(n):
+    return bernoulli_polynomial(n).coeffs[0]
+
+
 def test_bernoulli_number_fixtures():
-    assert bernoulli_number(1) == pytest.approx(-0.5, abs=1e-16)
-    assert bernoulli_number(3) == 0.0
-    assert bernoulli_number(4) == pytest.approx(-1.0 / 30.0, abs=1e-16)
+    assert bernoulli_number(1) == Fraction(-1, 2)
+    assert bernoulli_number(3) == 0
+    assert bernoulli_number(4) == Fraction(-1, 30)
 
 
 def test_bernoulli_number_table():
     for n, want in enumerate(BERNOULLI_TABLE):
-        assert bernoulli_number(n) == pytest.approx(want, abs=1e-15), n
+        assert float(bernoulli_number(n)) == pytest.approx(want, abs=1e-15), n
 
 
 @pytest.mark.parametrize("n", [-1, 31, 100])
 def test_bernoulli_range_errors(n):
-    with pytest.raises(ValueError):
-        bernoulli_number(n)
     with pytest.raises(ValueError):
         bernoulli_polynomial(n)
 
@@ -125,10 +109,9 @@ def test_bernoulli_polynomial_fixtures():
 
 
 def test_bernoulli_zero_mean():
-    """Integral of B_n over [0,1] vanishes for 1 <= n <= 20."""
+    """Integral of B_n over [0,1], <B_n, 1>, is exactly 0 for 1 <= n <= 20."""
     for n in range(1, 21):
-        anti = integrate(bernoulli_polynomial(n))
-        assert abs(eval_poly(anti, 1.0)) <= 1e-12, n
+        assert inner_product(bernoulli_polynomial(n), Polynomial([1])) == 0, n
 
 
 def test_bernoulli_derivative_ladder():
@@ -137,9 +120,9 @@ def test_bernoulli_derivative_ladder():
     so the two sides in fact agree exactly."""
     for n in range(1, 21):
         d = differentiate(bernoulli_polynomial(n))
-        target = scale(bernoulli_polynomial(n - 1), n)
-        assert coeffs_close(d, target.coeffs, 1e-12), n
-        assert list(d.coeffs) == list(target.coeffs), n
+        target = [n * c for c in bernoulli_polynomial(n - 1).coeffs]
+        assert coeffs_close(d, target, 1e-12), n
+        assert list(d.coeffs) == target, n
 
 
 def test_bernoulli_forward_difference():
@@ -160,9 +143,3 @@ def test_compose_linear_is_substitution():
     for x in (-0.5, 0.0, 0.3, 1.7):
         assert eval_poly(q, x) == pytest.approx(eval_poly(p, 2.0 * x - 1.0), rel=1e-14)
 
-
-def test_integrate_then_differentiate_round_trip():
-    p = Polynomial([2.0, 0.0, -4.0, 1.0])
-    back = differentiate(integrate(p))
-    assert coeffs_close(back, p.coeffs, 1e-15)
-    assert integrate(p).coeffs[0] == 0.0

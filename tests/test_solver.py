@@ -177,6 +177,19 @@ class TestMapDomain:
         assert got[("left", 0)] == 0.0
         assert got[("right", 1)] == pytest.approx(2.0 * c, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "order, width",
+        [(9, 1e-40), (2, 1e-170), (2, 1e200), (310, 10.0)],
+        ids=["tiny-order9", "tiny-order2", "huge-order2", "bc-power-order310"],
+    )
+    def test_width_out_of_double_range_is_a_value_error(self, order, width):
+        p = BvpProblem(order, (0.0,) * order + (1.0,), lambda x: 1.0, (0.0, width),
+                       [BoundaryCondition("left", d, 1.0) for d in range(order)], 5)
+        msg = "interval width %r is out of double range for an order-%d problem" % (
+            width, order)
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            solve(p)
+
     def test_solution_on_stretched_interval(self):
         # closed form for y'' - y = 1, y(0) = y(2) = 0
         denom = math.e**2 - math.e**-2
