@@ -36,7 +36,7 @@ import re
 import sys
 
 from .basis import gram_schmidt_basis
-from .approx import gauss_legendre_rule, max_abs_error, project, reconstruct
+from .approx import gauss_legendre_rule, project, reconstruct
 from .exprparse import compile_function
 from .opmatrix import build_theta
 from .refode import reference_solution
@@ -146,7 +146,10 @@ def load_problem_file(path):
             v = float(v_text)
         except ValueError:
             fail(lineno, "bc order/value are not numeric: %r" % value)
-        bcs.append(BoundaryCondition(side, d, v))
+        try:
+            bcs.append(BoundaryCondition(side, d, v))
+        except ValueError as exc:
+            fail(lineno, str(exc))
 
     lineno, value = scalars["rhs"]
     try:
@@ -169,7 +172,18 @@ def load_problem_file(path):
 
 
 def _grid(x0, x1, points):
+    if points < 2:
+        raise ValueError("grid needs at least 2 points, got %d" % points)
     return [x0 + (x1 - x0) * i / (points - 1) for i in range(points)]
+
+
+def _compare(xs, f, g):
+    """Rows (x, f(x), g(x), |f(x) - g(x)|) over the grid xs."""
+    rows = []
+    for x in xs:
+        fx, gx = f(x), g(x)
+        rows.append((x, fx, gx, abs(fx - gx)))
+    return rows
 
 
 def _write_csv(path, header, rows):
@@ -179,9 +193,8 @@ def _write_csv(path, header, rows):
 
 
 def cmd_solve(args):
-    if args.grid < 2:
-        raise ValueError("grid needs at least 2 points, got %d" % args.grid)
     problem, exact = load_problem_file(args.file)
+    xs = _grid(problem.domain[0], problem.domain[1], args.grid)
     sol = solve(problem)
     poly = sol.solution_poly
     print("n = %d" % problem.truncation)
@@ -192,17 +205,14 @@ def cmd_solve(args):
     print("bc_residual_max = %s" % _fmt(sol.bc_residual_max))
     if sol.diverged:
         print("warning = residual indicates divergence at this truncation")
-    xs = _grid(problem.domain[0], problem.domain[1], args.grid)
     if exact is not None:
-        err = max(abs(poly(x) - exact(x)) for x in xs)
-        print("max_abs_error = %s" % _fmt(err))
+        rows = _compare(xs, poly, exact)
+        print("max_abs_error = %s" % _fmt(max(r[3] for r in rows)))
     if args.csv:
         if exact is not None:
-            rows = [(x, poly(x), exact(x), abs(poly(x) - exact(x))) for x in xs]
             _write_csv(args.csv, ["x", "y_approx", "y_exact", "abs_err"], rows)
         else:
-            rows = [(x, poly(x)) for x in xs]
-            _write_csv(args.csv, ["x", "y_approx"], rows)
+            _write_csv(args.csv, ["x", "y_approx"], [(x, poly(x)) for x in xs])
     return 0
 
 
@@ -305,10 +315,9 @@ def cmd_paper(args):
         spec = _EXAMPLES[number]
         exact = example_exact(number)
         for n, claimed, threshold in spec["runs"]:
-            sol = solve(example_problem(number, n))
-            poly = sol.solution_poly
-            xs = _grid(0.0, 1.0, 1001)
-            err = max(abs(poly(x) - exact(x)) for x in xs)
+            poly = solve(example_problem(number, n)).solution_poly
+            rows = _compare(_grid(0.0, 1.0, 1001), poly, exact)
+            err = max(r[3] for r in rows)
             ok = err <= threshold
             failed = failed or not ok
             print(
@@ -316,7 +325,6 @@ def cmd_paper(args):
                 % (number, n, err, claimed, threshold, "PASS" if ok else "FAIL")
             )
             if args.csv_dir:
-                rows = [(x, poly(x), exact(x), abs(poly(x) - exact(x))) for x in xs]
                 out = os.path.join(args.csv_dir, "example%d_n%d.csv" % (number, n))
                 _write_csv(out, ["x", "y_approx", "y_exact", "abs_err"], rows)
     return 1 if failed else 0
@@ -343,15 +351,12 @@ def cmd_approx(args):
     basis = gram_schmidt_basis(args.n)
     rule = gauss_legendre_rule(args.q) if args.q is not None else None
     result = project(f, basis, rule)
-    g = reconstruct(result.coeffs, basis)
-    err = max_abs_error(f, g, args.grid)
+    rows = _compare(_grid(0.0, 1.0, args.grid), f, reconstruct(result.coeffs, basis))
     for k, c in enumerate(result.coeffs):
         print("c[%d] = %s" % (k, _fmt(c)))
     print("l2_error_estimate = %s" % _fmt(result.l2_error_estimate))
-    print("max_abs_error = %s" % _fmt(err))
+    print("max_abs_error = %s" % _fmt(max(r[3] for r in rows)))
     if args.csv:
-        xs = _grid(0.0, 1.0, args.grid)
-        rows = [(x, f(x), g(x), abs(f(x) - g(x))) for x in xs]
         _write_csv(args.csv, ["x", "f", "f_approx", "abs_err"], rows)
     return 0
 

@@ -61,7 +61,10 @@ def _tokenize(src):
         if not m:
             raise ExprSyntaxError("unexpected character %r" % src[pos], pos)
         if m.group(1) is not None:
-            tokens.append(("num", float(m.group(1)), m.start(1)))
+            value = float(m.group(1))
+            if math.isinf(value):
+                raise ExprSyntaxError("number out of range", m.start(1))
+            tokens.append(("num", value, m.start(1)))
         elif m.group(2) is not None:
             tokens.append(("name", m.group(2), m.start(2)))
         else:

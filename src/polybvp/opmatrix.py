@@ -29,8 +29,7 @@ class OperationalMatrix:
     def __init__(self, n, theta):
         self.n = n
         self.theta = theta
-        size = n + 1
-        self._powers = [_banded([[1.0 if i == j else 0.0 for j in range(size)] for i in range(size)])]
+        self._powers = [[(i, array("d", [1.0])) for i in range(n + 1)]]
         self._ends = [array("d", [1.0] + [0.0] * n)]
 
     def __repr__(self):
@@ -43,41 +42,43 @@ class OperationalMatrix:
         power is +0.0, and x + a*0.0 == x bit for bit unless x is -0.0, so
         the result is the dense one for rows holding no -0.0.
         """
-        los, ends, values = self._power(k)
-        start = 0
-        for acc, j, stop in zip(rows, los, ends):
-            for i in range(start, stop):
-                acc[j] += a * values[i]
+        for acc, (j, band) in zip(rows, self._power(k)):
+            for v in band:
+                acc[j] += a * v
                 j += 1
-            start = stop
 
     def _power(self, k):
-        # (Theta^T)^(j+1) = Theta^T (Theta^T)^j on dense rows.  Theta is
-        # tridiagonal, so row i of Theta^T is applied through its nonzeros
-        # Theta[r][i] in ascending r, starting from +0.0: each entry is the
-        # same floating-point sum as a dense product that skips zero
-        # factors, and no entry is ever -0.0.  The table grows into a new
-        # list that then replaces the old one, so a concurrent caller sees
-        # either table whole, never interleaved appends.
+        # Row i of (Theta^T)^k is (first column, array of the values up to
+        # the last nonzero).  (Theta^T)^(j+1) = Theta^T (Theta^T)^j: Theta
+        # is tridiagonal, so row i of Theta^T is applied through its nonzeros
+        # Theta[r][i] in ascending r, adding v * band of row r from +0.0.
+        # Each entry is the same floating-point sum as a dense product that
+        # skips zero factors, and no entry is ever -0.0.  The table grows
+        # into a new list that then replaces the old one, so a concurrent
+        # caller sees either table whole, never interleaved appends.
         powers = self._powers
         if len(powers) <= k:
             size = self.n + 1
             theta_rows = self.theta.to_rows()
-            band = [
+            entries = [
                 [(r, theta_rows[r][i]) for r in range(size) if theta_rows[r][i] != 0.0]
                 for i in range(size)
             ]
-            power = _dense(powers[-1], size)
             powers = list(powers)
             while len(powers) <= k:
+                prev = powers[-1]
                 nxt = []
-                for entries in band:
+                for terms in entries:
                     acc = [0.0] * size
-                    for r, v in entries:
-                        acc = [s + v * b for s, b in zip(acc, power[r])]
-                    nxt.append(acc)
-                power = nxt
-                powers.append(_banded(power))
+                    for r, v in terms:
+                        j, band = prev[r]
+                        for b in band:
+                            acc[j] += v * b
+                            j += 1
+                    nonzero = [j for j, v in enumerate(acc) if v != 0.0]
+                    lo, hi = (nonzero[0], nonzero[-1] + 1) if nonzero else (0, 0)
+                    nxt.append((lo, array("d", acc[lo:hi])))
+                powers.append(nxt)
             self._powers = powers
         return powers[k]
 
@@ -93,31 +94,6 @@ class OperationalMatrix:
                 ends.append(array("d", [sum(a * b for a, b in zip(r, ends[-1])) for r in theta_rows]))
             self._ends = ends
         return ends[k]
-
-
-def _banded(rows):
-    """(los, ends, values): row i is values[ends[i-1]:ends[i]] from column
-    los[i] on, spanning its first to last nonzero, and zero elsewhere."""
-    los, ends, values = array("l"), array("l"), array("d")
-    for row in rows:
-        nonzero = [j for j, v in enumerate(row) if v != 0.0]
-        lo, hi = (nonzero[0], nonzero[-1] + 1) if nonzero else (0, 0)
-        los.append(lo)
-        values.extend(row[lo:hi])
-        ends.append(len(values))
-    return los, ends, values
-
-
-def _dense(power, size):
-    los, ends, values = power
-    rows = []
-    start = 0
-    for lo, stop in zip(los, ends):
-        row = [0.0] * size
-        row[lo : lo + stop - start] = values[start:stop]
-        rows.append(row)
-        start = stop
-    return rows
 
 
 def build_theta(n):
@@ -137,5 +113,5 @@ def build_theta(n):
             e[i * size + i - 1] = -1.0 / (2.0 * math.sqrt((2 * i - 1) * (2 * i + 1)))
             e[i * size + i + 1] = 1.0 / (2.0 * math.sqrt((2 * i + 1) * (2 * i + 3)))
         e[n * size + n - 1] = -1.0 / (2.0 * math.sqrt((2 * n - 1) * (2 * n + 1)))
-        op = _thetas[n] = OperationalMatrix(n, Matrix(size, size, e))
+        op = _thetas[n] = OperationalMatrix(n, Matrix._of(size, size, e))
     return op

@@ -25,52 +25,29 @@ class StepLimitError(RuntimeError):
     pass
 
 
-class IvpSystem:
-    """dimension-m first-order system u' = f(x, u), u(x0) = y0."""
-
-    __slots__ = ("dimension", "f", "x0", "y0")
-
-    def __init__(self, dimension, f, x0, y0):
-        if not isinstance(dimension, int) or dimension < 1:
-            raise ValueError("system dimension must be a positive integer")
-        y0 = tuple(float(v) for v in y0)
-        if len(y0) != dimension:
-            raise ValueError(
-                "initial state has %d components, expected %d" % (len(y0), dimension)
-            )
-        self.dimension = dimension
-        self.f = f
-        self.x0 = float(x0)
-        self.y0 = y0
-
-
 def _axpy(u, c, v):
     return tuple([a + c * b for a, b in zip(u, v)])
 
 
-def integrate_rk4(sys, x_end, steps):
-    """Trajectory [(x0, y0), ..., (x_end, y_end)] of classical RK4.
+def integrate_rk4(f, u0, steps):
+    """Trajectory [(0, u0), ..., (1, u_end)] of classical RK4 for the
+    first-order system u' = f(x, u) on [0, 1].
 
-    Stage abscissa j is x0 + span * (j / (2*steps)): j = 2i for k1, 2i+1 for
-    k2 and k3, 2i+2 for k4 and the node.  So the two midpoint stages share
-    one abscissa, k4 of step i shares one with k1 of step i+1, and every
-    node of a run at N steps is bit-for-bit a node of the run at 2N steps.
+    Stage abscissa j is j / (2*steps): j = 2i for k1, 2i+1 for k2 and k3,
+    2i+2 for k4 and the node.  So the two midpoint stages share one
+    abscissa, k4 of step i shares one with k1 of step i+1, and every node
+    of a run at N steps is bit-for-bit a node of the run at 2N steps.
     """
-    if not isinstance(steps, int) or steps < 1:
-        raise ValueError("steps must be a positive integer")
-    x0 = sys.x0
-    span = x_end - x0
-    h = span / steps
+    h = 1.0 / steps
     h2 = 0.5 * h
     h6 = h / 6.0
     parts = 2 * steps
-    x = x0
-    u = sys.y0
+    x = 0.0
+    u = tuple(u0)
     out = [(x, u)]
-    f = sys.f
     for i in range(steps):
-        xm = x0 + span * ((2 * i + 1) / parts)
-        xn = x0 + span * ((2 * i + 2) / parts)
+        xm = (2 * i + 1) / parts
+        xn = (2 * i + 2) / parts
         k1 = f(x, u)
         k2 = f(xm, _axpy(u, h2, k1))
         k3 = f(xm, _axpy(u, h2, k2))
@@ -89,11 +66,11 @@ def integrate_rk4(sys, x_end, steps):
 
 
 def _companion(p):
-    """Companion system of the mapped monic problem, on [0,1].
+    """(f, u0) of the companion system of the mapped monic problem, on [0,1].
 
     rhs is evaluated once per abscissa: the values are kept for the life of
-    the system, so stages and step-doubling levels that share an abscissa
-    share the evaluation.
+    f, so stages and step-doubling levels that share an abscissa share the
+    evaluation.
     """
     m = p.order
     terms = [(k, a) for k, a in enumerate(p.coefficients[:m]) if a != 0.0]
@@ -111,7 +88,7 @@ def _companion(p):
     init = [0.0] * m
     for bc in p.bcs:
         init[bc.derivative_order] = bc.value
-    return IvpSystem(m, f, 0.0, init)
+    return f, init
 
 
 # Step doubling: the first level, the largest level tried, and the stop
@@ -121,17 +98,17 @@ _MAX_STEPS = 80000
 _RELATIVE_TOL = 1e-13
 
 
-def _doubled_trajectory(sys):
+def _doubled_trajectory(f, u0):
     """(trajectory, estimate) at the first doubled level that meets the tolerance.
 
     The Richardson estimate of the finer level's error is
     max |y_2N - y_N| / 15 over the nodes the two levels share.
     """
     steps = _FIRST_STEPS
-    coarse = integrate_rk4(sys, 1.0, steps)
+    coarse = integrate_rk4(f, u0, steps)
     while 2 * steps <= _MAX_STEPS:
         steps *= 2
-        traj = integrate_rk4(sys, 1.0, steps)
+        traj = integrate_rk4(f, u0, steps)
         estimate = max(abs(a[1][0] - b[1][0]) for a, b in zip(traj[::2], coarse)) / 15.0
         if estimate <= _RELATIVE_TOL * max(1.0, max(abs(u[0]) for _, u in traj)):
             return traj, estimate
@@ -142,15 +119,15 @@ def _doubled_trajectory(sys):
     )
 
 
-def reference_solution(p, steps=None):
+def reference_solution(p):
     """Dense-output evaluator x -> y(x) for an all-left-BC problem.
 
     Integrates the companion form over [0,1] in mapped coordinates and
     interpolates with cubic Hermite pieces; the slope at each node comes for
-    free from the companion state.  Without `steps` the step count doubles
-    from 2500 until the Richardson estimate is at most 1e-13 max(1, max|y|),
-    and StepLimitError is raised past 80 000 steps.  The evaluator carries
-    `steps` and `richardson_estimate` (None when `steps` was given).
+    free from the companion state.  The step count doubles from 2500 until
+    the Richardson estimate is at most 1e-13 max(1, max|y|), and
+    StepLimitError is raised past 80 000 steps.  The evaluator carries
+    `steps` and `richardson_estimate`.
     """
     for bc in p.bcs:
         if bc.side != "left":
@@ -159,15 +136,12 @@ def reference_solution(p, steps=None):
                 "got one of order %d on the right" % bc.derivative_order
             )
     mapped = map_domain(p)
-    sys = _companion(mapped)
-    if steps is None:
-        traj, estimate = _doubled_trajectory(sys)
-    else:
-        traj, estimate = integrate_rk4(sys, 1.0, steps), None
+    f, u0 = _companion(mapped)
+    traj, estimate = _doubled_trajectory(f, u0)
     if mapped.order >= 2:
         slopes = [u[1] for _, u in traj]
     else:
-        slopes = [sys.f(z, u)[0] for z, u in traj]
+        slopes = [f(z, u)[0] for z, u in traj]
     values = [u[0] for _, u in traj]
     x0, x1 = p.domain
     span = x1 - x0

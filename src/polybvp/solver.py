@@ -34,6 +34,7 @@ oracle for the general assembly.
 """
 
 import math
+import sys
 
 from .approx import _eval_checked, project, reconstruct
 from .basis import legendre_basis
@@ -165,7 +166,8 @@ def map_domain(p):
     With h = x1-x0 the coefficient of the k-th mapped derivative picks up
     h^-k and order-d boundary values pick up h^d; the whole equation is then
     divided by the leading coefficient.  A width whose powers leave the
-    double range raises ValueError.
+    double range, or make the leading coefficient subnormal or a mapped
+    coefficient overflow, raises ValueError.
     """
     x0, x1 = p.domain
     h = x1 - x0
@@ -174,13 +176,13 @@ def map_domain(p):
     try:
         lead = p.coefficients[-1] * h ** (-p.order)
         bc_values = [bc.value * h**bc.derivative_order for bc in p.bcs]
-    except OverflowError:
+        coeffs = [p.coefficients[k] * h ** (-k) / lead for k in range(p.order + 1)]
+    except (OverflowError, ZeroDivisionError):  # a power of h left the double range
         lead = math.inf
-    if not 0.0 < abs(lead) < math.inf:
+    if not sys.float_info.min <= abs(lead) < math.inf or not all(map(math.isfinite, coeffs)):
         raise ValueError(
             "interval width %r is out of double range for an order-%d problem" % (h, p.order)
         )
-    coeffs = [p.coefficients[k] * h ** (-k) / lead for k in range(p.order + 1)]
     coeffs[-1] = 1.0
     rhs = p.rhs
 

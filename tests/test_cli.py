@@ -89,6 +89,7 @@ def test_load_problem_file_defaults(tmp_path):
         (lambda t: t.replace("bc = left 0 0", "bc = middle 0 0"), "left or right"),
         (lambda t: t.replace("bc = left 0 0", "bc = left zero 0"), "not numeric"),
         (lambda t: t.replace("rhs = exp(-x)", "rhs = foo(x)"), "rhs:"),
+        (lambda t: t.replace("rhs = exp(-x)", "rhs = 1e400"), "rhs: number out of range"),
         (lambda t: t.replace("order = 2", "order: 2"), "expected 'key = value'"),
     ],
 )
@@ -196,6 +197,21 @@ def test_solve_rejects_bad_order_or_width_in_one_line(tmp_path, capsys, text, fr
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "bc, fragment",
+    [("left 0 nan", "boundary value must be finite"),
+     ("left -1 0", "derivative order must be a non-negative integer")],
+    ids=["value-nan", "order-1"],
+)
+def test_solve_bad_bc_names_its_line(tmp_path, capsys, bc, fragment):
+    path = write_problem(tmp_path, EX1_FILE.replace("bc = left 0 0", "bc = " + bc))
+    rc = main(["solve", path])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: %s:8: %s\n" % (path, fragment)
+
+
 def test_solve_missing_file(capsys):
     rc = main(["solve", "/no/such/problem.txt"])
     captured = capsys.readouterr()
@@ -223,14 +239,28 @@ def test_paper_table_all_examples_pass(capsys):
         assert float(r[2]) <= float(r[4])
 
 
+# sha256 of each file `paper --example all --csv-dir` writes: the grid
+# comparison behind the table must keep every CSV byte.
+PAPER_CSV_SHA256 = {
+    "example1_n7.csv": "be994da5d46620fc91bfdf5fe53146529a2e6d6b6aab920756d71605b0cc055a",
+    "example1_n10.csv": "ba1d5f676981c885a51918a6ae2b18eb5efea60db54bd56e5866f936990461b6",
+    "example2_n7.csv": "7dce3dcf69c6f63e82951f2106292c9e301950145cb76c50bdc5f24018733a6b",
+    "example2_n12.csv": "77874a3f71a4f5f7d83635b23cfd0c7afe010df67c20401abebdd8f2edac6677",
+    "example3_n9.csv": "be346c731f055937af0ae4e54c4e06ebf92753eced1842c13a80906307b847d6",
+    "example3_n11.csv": "77e7892fa13a952738a55f2e971b45c97fc63d43a398110289e1b71695cb26bb",
+    "example4_n7.csv": "4b1025414eaa5943089a03293d67c6287033930f6fbf186ccac44e002e2e4b06",
+    "example4_n10.csv": "a0a1aca028bb919d5463237739cece515c094f43487ac49345096148837d7469",
+}
+
+
 def test_paper_csv_dir_writes_deterministic_files(tmp_path, capsys):
     d1 = tmp_path / "a"
     d2 = tmp_path / "b"
-    assert main(["paper", "--example", "1", "--csv-dir", str(d1)]) == 0
-    assert main(["paper", "--example", "1", "--csv-dir", str(d2)]) == 0
+    assert main(["paper", "--example", "all", "--csv-dir", str(d1)]) == 0
+    assert main(["paper", "--example", "all", "--csv-dir", str(d2)]) == 0
     capsys.readouterr()
     names = sorted(os.listdir(d1))
-    assert names == ["example1_n10.csv", "example1_n7.csv"]
+    assert names == sorted(PAPER_CSV_SHA256)
     for name in names:
         first = (d1 / name).read_bytes()
         second = (d2 / name).read_bytes()
@@ -238,6 +268,7 @@ def test_paper_csv_dir_writes_deterministic_files(tmp_path, capsys):
         header = first.decode("utf-8").splitlines()[0]
         assert header == "x,y_approx,y_exact,abs_err"
         assert len(first.decode("utf-8").splitlines()) == 1002
+        assert hashlib.sha256(first).hexdigest() == PAPER_CSV_SHA256[name], name
 
 
 def test_example_fixtures_accessible():
@@ -311,6 +342,17 @@ def test_approx_rejects_weak_rule(capsys):
     assert "not exact" in captured.err
 
 
+@pytest.mark.parametrize("points", [1, 0])
+def test_approx_rejects_a_grid_below_two_points(tmp_path, capsys, points):
+    out = tmp_path / "fit.csv"
+    rc = main(["approx", "x", "--grid", str(points), "--csv", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: grid needs at least 2 points, got %d\n" % points
+    assert not out.exists()
+
+
 # ----------------------------------------------------------- pinned dumps
 
 # sha256 of the stdout of each command.  The basis, Theta and projection
@@ -334,6 +376,25 @@ def test_dumps_are_byte_identical(argv, capsys):
     captured = capsys.readouterr()
     assert rc == 0
     assert hashlib.sha256(captured.out.encode()).hexdigest() == DUMP_SHA256[argv]
+
+
+# sha256 of the CSV that `solve --csv` (with an exact solution) and
+# `approx --csv` write; "ex1.txt" stands for EX1_FILE written to disk.
+CSV_SHA256 = {
+    ("solve", "ex1.txt", "--grid", "101"):
+        "e8136af81ff9f3cacc825511f74bd0391bd7a2c33ffb9e6583169ff553fbc33a",
+    ("approx", "exp(-x)*sin(3*x)", "--n", "10"):
+        "866aa759c9847aecbede01617d366b25e9e0e812281b7a3db2dced65dc413d36",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(CSV_SHA256), ids=" ".join)
+def test_csv_files_are_byte_identical(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    args = [write_problem(tmp_path, EX1_FILE) if a == "ex1.txt" else a for a in argv]
+    assert main(args + ["--csv", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CSV_SHA256[argv]
 
 
 # ------------------------------------------------------------- error paths

@@ -90,7 +90,7 @@ def test_pretty_print_round_trip(src):
 
 @pytest.mark.parametrize(
     "src",
-    ["y", "foo(x)", "(1+2", "1)", "1 2", "x+", "", "  ", "sin", "sin x", "1..2"],
+    ["y", "foo(x)", "(1+2", "1)", "1 2", "x+", "", "  ", "sin", "sin x", "1..2", "1e400"],
 )
 def test_syntax_errors_carry_offsets(src):
     with pytest.raises(ExprSyntaxError) as err:

@@ -7,7 +7,6 @@ import pytest
 from polybvp.exprparse import compile_function
 from polybvp.refode import (
     DivergenceError,
-    IvpSystem,
     StepLimitError,
     UnsupportedProblemError,
     integrate_rk4,
@@ -16,8 +15,14 @@ from polybvp.refode import (
 from polybvp.solver import BoundaryCondition, BvpProblem
 
 
-def exp_system():
-    return IvpSystem(1, lambda x, u: [u[0]], 0.0, [1.0])
+def exp_rhs(x, u):
+    return (u[0],)
+
+
+def tan_forced_rhs():
+    """y'' - 5y' + 2y = tan(x) as the companion system u' = f(x, u)."""
+    tan = compile_function("tan(x)")
+    return lambda x, u: (u[1], tan(x) + 5.0 * u[1] - 2.0 * u[0])
 
 
 def tan_forced_problem(n=9, rhs=None):
@@ -33,15 +38,14 @@ def tan_forced_problem(n=9, rhs=None):
 
 
 def test_constant_trajectory():
-    sys0 = IvpSystem(1, lambda x, u: [0.0], 0.0, [3.5])
-    traj = integrate_rk4(sys0, 1.0, 10)
+    traj = integrate_rk4(lambda x, u: (0.0,), (3.5,), 10)
     assert len(traj) == 11
     assert all(state[0] == 3.5 for _, state in traj)
     assert traj[0][0] == 0.0 and traj[-1][0] == 1.0
 
 
 def test_exponential_endpoint():
-    traj = integrate_rk4(exp_system(), 1.0, 1000)
+    traj = integrate_rk4(exp_rhs, (1.0,), 1000)
     assert abs(traj[-1][1][0] - math.e) <= 1e-11
 
 
@@ -49,7 +53,7 @@ def test_fourth_order_convergence():
     """Error at x=1 shrinks ~16x per step doubling (ratio in [12, 20])."""
     errors = []
     for steps in (100, 200, 400, 800):
-        traj = integrate_rk4(exp_system(), 1.0, steps)
+        traj = integrate_rk4(exp_rhs, (1.0,), steps)
         errors.append(abs(traj[-1][1][0] - math.e))
     for coarse, fine in zip(errors, errors[1:]):
         assert 12.0 <= coarse / fine <= 20.0
@@ -57,28 +61,16 @@ def test_fourth_order_convergence():
 
 def test_step_doubling_self_consistency():
     """The tan-forced system at 1e5 steps moves < 1e-12 when steps double."""
-    f = compile_function("tan(x)")
-    rhs = lambda x, u: [u[1], f(x) + 5.0 * u[1] - 2.0 * u[0]]
-    sys2 = IvpSystem(2, rhs, 0.0, [0.0, 0.0])
-    y1 = integrate_rk4(sys2, 1.0, 100000)[-1][1][0]
-    y2 = integrate_rk4(sys2, 1.0, 200000)[-1][1][0]
+    rhs = tan_forced_rhs()
+    y1 = integrate_rk4(rhs, (0.0, 0.0), 100000)[-1][1][0]
+    y2 = integrate_rk4(rhs, (0.0, 0.0), 200000)[-1][1][0]
     assert abs(y1 - y2) < 1e-12
 
 
 def test_divergence_reports_step():
     # quadratic blow-up escapes to inf inside [0, 1]
-    sys_blow = IvpSystem(1, lambda x, u: [u[0] * u[0]], 0.0, [5.0])
     with pytest.raises(DivergenceError, match="step"):
-        integrate_rk4(sys_blow, 1.0, 100)
-
-
-def test_validation():
-    with pytest.raises(ValueError):
-        IvpSystem(0, lambda x, u: [], 0.0, [])
-    with pytest.raises(ValueError):
-        IvpSystem(2, lambda x, u: [0.0, 0.0], 0.0, [1.0])
-    with pytest.raises(ValueError):
-        integrate_rk4(exp_system(), 1.0, 0)
+        integrate_rk4(lambda x, u: (u[0] * u[0],), (5.0,), 100)
 
 
 def test_reference_imposes_initial_value():
@@ -101,11 +93,13 @@ def test_reference_on_pure_quadrature():
 
 
 def test_reference_step_halving_agreement():
-    """The step-doubled reference matches 40 000 fixed steps on the grid."""
+    """The step-doubled reference matches 40 000 fixed steps on the grid,
+    whose points x = i/1000 are nodes of the fixed run."""
     ref = reference_solution(tan_forced_problem())
-    fixed = reference_solution(tan_forced_problem(), steps=40000)
-    assert fixed.steps == 40000 and fixed.richardson_estimate is None
-    worst = max(abs(ref(i / 1000.0) - fixed(i / 1000.0)) for i in range(1001))
+    rhs = tan_forced_rhs()
+    fixed = integrate_rk4(rhs, (0.0, 0.0), 40000)[::40]
+    assert [x for x, _ in fixed] == [i / 1000.0 for i in range(1001)]
+    worst = max(abs(ref(x) - u[0]) for x, u in fixed)
     assert worst <= 1e-12
 
 
@@ -131,10 +125,10 @@ def test_stage_abscissae_are_the_nodes_of_the_doubled_run():
 
     def f(x, u):
         seen.add(x)
-        return [u[0]]
+        return (u[0],)
 
-    integrate_rk4(IvpSystem(1, f, 0.3, [1.0]), 1.0, 300)
-    fine = integrate_rk4(IvpSystem(1, lambda x, u: [u[0]], 0.3, [1.0]), 1.0, 600)
+    integrate_rk4(f, (1.0,), 300)
+    fine = integrate_rk4(exp_rhs, (1.0,), 600)
     assert seen == {x for x, _ in fine}
 
 
@@ -156,7 +150,7 @@ def test_unresolved_reference_raises_at_the_step_cap():
 
 
 def test_hermite_interpolation_error():
-    """Between-node error stays <= 1e-9 for y' = y at 1e4 steps."""
+    """Between-node error stays <= 1e-9 for y' = y at the doubled step count."""
     p = BvpProblem(
         1,
         (-1.0, 1.0),
@@ -165,7 +159,8 @@ def test_hermite_interpolation_error():
         [BoundaryCondition("left", 0, 1.0)],
         5,
     )
-    ref = reference_solution(p, steps=10000)
+    ref = reference_solution(p)
+    assert ref.steps >= 5000
     worst = 0.0
     for i in range(999):
         x = (i + 0.37) / 1000.0  # deliberately off the RK grid

@@ -190,6 +190,19 @@ class TestMapDomain:
         with pytest.raises(ValueError, match=re.escape(msg)):
             solve(p)
 
+    @pytest.mark.parametrize(
+        "coefficients, width",
+        [((0.0, 1.0, 1.0), 1e160), ((1e10, 0.0, 1.0), 1e150)],
+        ids=["subnormal-lead", "overflowing-a0"],
+    )
+    def test_width_that_spoils_a_mapped_coefficient_is_a_value_error(self, coefficients, width):
+        # h^-2 = 1e-320 is subnormal, so a_1/lead would read 1.0000111e160;
+        # h^-2 = 1e-300 is normal, but a_0/lead = 1e310 overflows
+        p = BvpProblem(2, coefficients, lambda x: 1.0, (0.0, width), dirichlet(0.0, 0.0), 5)
+        msg = "interval width %r is out of double range for an order-2 problem" % width
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            map_domain(p)
+
     def test_solution_on_stretched_interval(self):
         # closed form for y'' - y = 1, y(0) = y(2) = 0
         denom = math.e**2 - math.e**-2
