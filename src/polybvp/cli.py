@@ -124,15 +124,15 @@ def load_problem_file(path):
             raise ProblemFileError(
                 "%s: coeff[%d] exceeds the problem order %d" % (path, k, order)
             )
-    coeff_list = [coeffs.get(k, 0.0) for k in range(order + 1)]
-    if order not in coeffs:
-        coeff_list[order] = 1.0
-
     if len(bc_lines) != order:
         raise ProblemFileError(
             "%s: order-%d problem needs exactly %d bc lines, got %d"
             % (path, order, order, len(bc_lines))
         )
+    coeff_list = [coeffs.get(k, 0.0) for k in range(order + 1)]
+    if order not in coeffs:
+        coeff_list[order] = 1.0
+
     bcs = []
     for lineno, value in bc_lines:
         parts = value.split()

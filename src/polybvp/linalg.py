@@ -1,9 +1,9 @@
 """Small dense real vectors and matrices, and one linear solver.
 
 Everything in this package runs at desk scale (systems below ~40x40), so
-these are deliberately plain: row-major storage, triple-loop products,
-Gaussian elimination with partial pivoting.  Values are immutable after
-construction and always finite.
+these are deliberately plain: row-major storage and Gaussian elimination
+with partial pivoting.  Values are immutable after construction and
+always finite.
 
 A matrix the program computes may carry row extents, one (start, end)
 per row: the row is +0.0 outside columns start..end-1, no entry is -0.0,
@@ -15,11 +15,11 @@ the dense elimination's, up to the sign of a component that is zero.
 
 Validation happens where values enter from outside the program: the
 Matrix and Vector constructors convert every entry with float() and reject
-non-finite ones.  What the package computes itself (the products, sums
-and transposes below, the solver's output, the solver module's assembled
-system) is built by `_of`, which takes the floats as they are and keeps a
-single finiteness pass, so an overflow still raises LinAlgError instead of
-reaching the elimination as a spurious singularity.
+non-finite ones.  What the package computes itself (Theta, projected
+coefficients, the solver's systems and its output) is built by `_of`,
+which takes the floats as they are and keeps a single finiteness pass, so
+an overflow still raises LinAlgError instead of reaching the elimination
+as a spurious singularity.
 """
 
 import math
@@ -31,9 +31,9 @@ class LinAlgError(ValueError):
 
 
 class SingularMatrixError(LinAlgError):
-    def __init__(self, column, message=None):
+    def __init__(self, column):
         self.column = column
-        super().__init__(message or "matrix is singular at column %d" % column)
+        super().__init__("matrix is singular at column %d" % column)
 
 
 def _check_finite(values, what):
@@ -139,57 +139,6 @@ class Matrix:
 
     def __repr__(self):
         return "Matrix.from_rows(%r)" % (self.to_rows(),)
-
-
-def identity(n):
-    return Matrix._of(n, n, [1.0 if i == j else 0.0 for i in range(n) for j in range(n)])
-
-
-def transpose(a):
-    return Matrix._of(a.cols, a.rows, [a.at(i, j) for j in range(a.cols) for i in range(a.rows)])
-
-
-def mat_mul(a, b):
-    if a.cols != b.rows:
-        raise LinAlgError(
-            "cannot multiply %dx%d by %dx%d" % (a.rows, a.cols, b.rows, b.cols)
-        )
-    out = [0.0] * (a.rows * b.cols)
-    for i in range(a.rows):
-        base = i * a.cols
-        for k in range(a.cols):
-            aik = a.entries[base + k]
-            if aik == 0.0:
-                continue
-            brow = k * b.cols
-            orow = i * b.cols
-            for j in range(b.cols):
-                out[orow + j] += aik * b.entries[brow + j]
-    return Matrix._of(a.rows, b.cols, out)
-
-
-def mat_add(a, b):
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise LinAlgError(
-            "cannot add %dx%d and %dx%d" % (a.rows, a.cols, b.rows, b.cols)
-        )
-    return Matrix._of(a.rows, a.cols, [x + y for x, y in zip(a.entries, b.entries)])
-
-
-def mat_scale(a, c):
-    return Matrix._of(a.rows, a.cols, [c * x for x in a.entries])
-
-
-def mat_vec(a, v):
-    if a.cols != len(v):
-        raise LinAlgError("cannot apply %dx%d to length-%d vector" % (a.rows, a.cols, len(v)))
-    return Vector._of(
-        [sum(a.at(i, j) * v[j] for j in range(a.cols)) for i in range(a.rows)]
-    )
-
-
-def outer(u, v):
-    return Matrix._of(len(u), len(v), [x * y for x in u for y in v])
 
 
 def _lu_factor(m, extents, threshold):

@@ -89,7 +89,7 @@ class OperationalMatrix:
         if len(ends) <= k:
             theta_rows = self.theta.to_rows()
             ends = list(ends)  # grown and replaced whole, as in _power
-            # sum() as in linalg.mat_vec, so the two agree on every interpreter
+            # sum() as in the dense_assemble test oracle: they agree on every interpreter
             while len(ends) <= k:
                 ends.append(array("d", [sum(a * b for a, b in zip(r, ends[-1])) for r in theta_rows]))
             self._ends = ends

@@ -38,19 +38,7 @@ import sys
 
 from .approx import _eval_checked, project, reconstruct
 from .basis import legendre_basis
-from .linalg import (
-    Matrix,
-    SingularMatrixError,
-    Vector,
-    identity,
-    mat_add,
-    mat_mul,
-    mat_scale,
-    mat_vec,
-    outer,
-    solve_linear,
-    transpose,
-)
+from .linalg import Matrix, SingularMatrixError, Vector, solve_linear
 from .opmatrix import build_theta
 from .poly import Polynomial, compose_linear, differentiate
 
@@ -167,7 +155,8 @@ def map_domain(p):
     h^-k and order-d boundary values pick up h^d; the whole equation is then
     divided by the leading coefficient.  A width whose powers leave the
     double range, or make the leading coefficient subnormal or a mapped
-    coefficient overflow, raises ValueError.
+    coefficient or boundary value overflow, raises ValueError.  The mapped
+    rhs names the failing point in x, not in z.
     """
     x0, x1 = p.domain
     h = x1 - x0
@@ -179,7 +168,9 @@ def map_domain(p):
         coeffs = [p.coefficients[k] * h ** (-k) / lead for k in range(p.order + 1)]
     except (OverflowError, ZeroDivisionError):  # a power of h left the double range
         lead = math.inf
-    if not sys.float_info.min <= abs(lead) < math.inf or not all(map(math.isfinite, coeffs)):
+    if not sys.float_info.min <= abs(lead) < math.inf or not all(
+        map(math.isfinite, coeffs + bc_values)
+    ):
         raise ValueError(
             "interval width %r is out of double range for an order-%d problem" % (h, p.order)
         )
@@ -187,7 +178,7 @@ def map_domain(p):
     rhs = p.rhs
 
     def mapped_rhs(z, _r=rhs, _x0=x0, _h=h, _lead=lead):
-        return _r(_x0 + _h * z) / _lead
+        return _eval_checked(_r, _x0 + _h * z) / _lead
 
     bcs = [BoundaryCondition(bc.side, bc.derivative_order, v) for bc, v in zip(p.bcs, bc_values)]
     return BvpProblem(p.order, coeffs, mapped_rhs, (0.0, 1.0), bcs, p.truncation)
@@ -391,24 +382,29 @@ def solve_paper_second_order(p):
     size = n + 1
 
     t1 = [a1 * u + a0 * v for u, v in zip(basis.projection_row(0), basis.projection_row(1))]
-    e0 = Vector([1.0] + [0.0] * n)
-    v2 = mat_vec(theta.theta, e0)  # Theta^2 phi(1) under the endpoint identity
-    lmat = outer(v2, Vector(t1))
-
-    system = mat_add(
-        mat_add(identity(size), mat_scale(theta.theta, a1)),
-        mat_add(
-            mat_scale(mat_mul(theta.theta, theta.theta), a0),
-            mat_scale(lmat, -1.0),
-        ),
-    )
+    tr = theta.theta.to_rows()
+    v2 = [row[0] for row in tr]  # Theta e0 = Theta^2 phi(1) under the endpoint identity
+    # Row-major transposed system: entry (j, i) is entry (i, j) of
+    # I + a1 Theta + a0 Theta^2 - L, where L[i][j] = v2[i] t1[j] and row i
+    # of Theta^2 sums Theta[i][k] Theta[k] in ascending k, zeros skipped.
+    system = [0.0] * (size * size)
+    for i, row in enumerate(tr):
+        t2 = [0.0] * size
+        for tik, krow in zip(row, tr):
+            if tik != 0.0:
+                for j, tkj in enumerate(krow):
+                    t2[j] += tik * tkj
+        for j in range(size):
+            system[j * size + i] = ((1.0 if i == j else 0.0) + a1 * row[j]) + (
+                a0 * t2[j] + -1.0 * (v2[i] * t1[j])
+            )
     rho = list(project(mapped.rhs, basis).coeffs)
     r = [
         rho[k] - (beta - alpha) * t1[k] - (a0 * alpha if k == 0 else 0.0)
         for k in range(size)
     ]
     try:
-        c = solve_linear(transpose(system), Vector(r))
+        c = solve_linear(Matrix._of(size, size, system), Vector._of(r))
     except SingularMatrixError as exc:
         raise IllPosedProblemError(
             "boundary conditions leave the system singular at column %d" % exc.column

@@ -4,6 +4,7 @@ import hashlib
 import math
 import os
 import re
+import tracemalloc
 
 import pytest
 
@@ -185,8 +186,11 @@ ORDER9_FILE = "order = 9\ninterval = 0 1\nrhs = 1\nn = 5\n" + "".join(
          "interval width 1e\\+200 .* order-2 problem"),
         (EX1_FILE.replace("order = 2", "order = -1"), "order must be at least 1, got -1"),
         (EX1_FILE.replace("order = 2", "order = 0"), "order must be at least 1, got 0"),
+        (EX1_FILE.replace("interval = 0 1", "interval = 0 1e10").replace(
+            "bc = right 0 5", "bc = right 1 1e300"),
+         "interval width 10000000000.0 .* order-2 problem"),
     ],
-    ids=["width-1e-40", "width-1e200", "order-1", "order0"],
+    ids=["width-1e-40", "width-1e200", "order-1", "order0", "bc-value-overflow"],
 )
 def test_solve_rejects_bad_order_or_width_in_one_line(tmp_path, capsys, text, fragment):
     rc = main(["solve", write_problem(tmp_path, text)])
@@ -195,6 +199,21 @@ def test_solve_rejects_bad_order_or_width_in_one_line(tmp_path, capsys, text, fr
     assert captured.out == ""
     assert re.match("error: .*" + fragment, captured.err)
     assert captured.err.count("\n") == 1
+
+
+def test_bc_count_is_checked_before_the_order_sizes_anything(tmp_path, capsys):
+    text = EX1_FILE.replace("order = 2", "order = 5000000").replace("bc = right 0 5\n", "")
+    path = write_problem(tmp_path, text)
+    tracemalloc.start()
+    try:
+        rc = main(["solve", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: %s: order-5000000 problem needs exactly 5000000 bc lines, got 1\n" % path)
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize(

@@ -17,8 +17,12 @@ import pytest
 
 from polybvp.approx import gauss_legendre_rule
 from polybvp.basis import eval_basis, gram_schmidt_basis
-from polybvp.linalg import Vector, mat_vec
 from polybvp.opmatrix import OperationalMatrix, build_theta
+
+
+def theta_times(op, v):
+    """Theta v, each row summed with sum()."""
+    return [sum(a * b for a, b in zip(row, v)) for row in op.theta.to_rows()]
 
 
 def sub_entry(i):
@@ -83,8 +87,7 @@ def test_double_integral_of_constant_direction():
     # which is what Theta^2 phi(1) reduces to once the first integration
     # pass is resolved exactly (integral of each phi_k over [0,1] is delta_k0).
     op = build_theta(5)
-    e0 = Vector([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-    col = mat_vec(op.theta, e0)
+    col = theta_times(op, [1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     want = [0.5, -0.5 / math.sqrt(3), 0.0, 0.0, 0.0, 0.0]
     assert max(abs(u - v) for u, v in zip(col, want)) <= 1e-15
 
@@ -100,7 +103,7 @@ def test_integral_identity_random_points(n):
     for _ in range(25):
         z = rng.random()
         values = eval_basis(basis, z)
-        product = mat_vec(op.theta, Vector(list(values)))
+        product = theta_times(op, values)
         for k in range(n):
             assert abs(product[k] - antiderivative(basis, k, z)) <= 1e-11, (k, z)
         corrected = product[n] + spill * eval_basis(wide, z)[n + 1]
@@ -113,8 +116,8 @@ def test_endpoint_identities(n):
     the truncation residue with known magnitude 1/(2 sqrt(2n+1))."""
     basis = gram_schmidt_basis(n)
     op = build_theta(n)
-    at1 = mat_vec(op.theta, Vector(list(eval_basis(basis, 1.0))))
-    at0 = mat_vec(op.theta, Vector(list(eval_basis(basis, 0.0))))
+    at1 = theta_times(op, eval_basis(basis, 1.0))
+    at0 = theta_times(op, eval_basis(basis, 0.0))
     for k in range(n):
         assert abs(at1[k] - (1.0 if k == 0 else 0.0)) <= 1e-12, k
         assert abs(at0[k]) <= 1e-12, k
@@ -129,10 +132,10 @@ def test_repeated_integration_kills_phi_at_zero():
     n = 9
     basis = gram_schmidt_basis(n)
     op = build_theta(n)
-    v = Vector(list(eval_basis(basis, 0.0)))
+    v = eval_basis(basis, 0.0)
     prev_norm = None
     for k in range(1, 5):
-        v = mat_vec(op.theta, v)
+        v = theta_times(op, v)
         for idx in range(n - k + 1):
             assert abs(v[idx]) <= 1e-12, (k, idx)
         norm = max(abs(u) for u in v)
@@ -167,10 +170,10 @@ def test_memo_matches_dense_powers():
     tt = [[op.theta.at(j, i) for j in range(n + 1)] for i in range(n + 1)]
     for k in range(1, 10):
         assert powers[k] == theta_power_rows(tt, k)
-    w = Vector([1.0] + [0.0] * n)
+    w = [1.0] + [0.0] * n
     for k in range(9):
-        assert ends[k] == list(w)
-        w = mat_vec(op.theta, w)
+        assert ends[k] == w
+        w = theta_times(op, w)
 
 
 def theta_power_rows(tt, k):

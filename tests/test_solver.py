@@ -11,6 +11,7 @@ rule tens of ulp off gave 4.1e-9 here).  Function values are recovered
 to 6.4e-13 or better throughout.
 """
 
+import hashlib
 import math
 import random
 import re
@@ -20,19 +21,7 @@ import pytest
 from polybvp.approx import EvaluationError, project
 from polybvp.basis import gram_schmidt_basis, legendre_basis
 from polybvp.exprparse import ExprEvalError, compile_function
-from polybvp.linalg import (
-    LinAlgError,
-    Matrix,
-    SingularMatrixError,
-    Vector,
-    identity,
-    mat_add,
-    mat_mul,
-    mat_scale,
-    mat_vec,
-    solve_linear,
-    transpose,
-)
+from polybvp.linalg import LinAlgError, Matrix, SingularMatrixError, Vector, solve_linear
 from polybvp.opmatrix import OperationalMatrix, build_theta
 from polybvp.poly import Polynomial, differentiate, eval_poly
 from polybvp.solver import (
@@ -191,14 +180,19 @@ class TestMapDomain:
             solve(p)
 
     @pytest.mark.parametrize(
-        "coefficients, width",
-        [((0.0, 1.0, 1.0), 1e160), ((1e10, 0.0, 1.0), 1e150)],
-        ids=["subnormal-lead", "overflowing-a0"],
+        "coefficients, width, slope",
+        [((0.0, 1.0, 1.0), 1e160, 0.0), ((1e10, 0.0, 1.0), 1e150, 0.0),
+         ((0.0, 0.0, 1.0), 1e10, 1e300)],
+        ids=["subnormal-lead", "overflowing-a0", "overflowing-bc"],
     )
-    def test_width_that_spoils_a_mapped_coefficient_is_a_value_error(self, coefficients, width):
+    def test_width_that_spoils_a_mapped_coefficient_is_a_value_error(
+        self, coefficients, width, slope
+    ):
         # h^-2 = 1e-320 is subnormal, so a_1/lead would read 1.0000111e160;
-        # h^-2 = 1e-300 is normal, but a_0/lead = 1e310 overflows
-        p = BvpProblem(2, coefficients, lambda x: 1.0, (0.0, width), dirichlet(0.0, 0.0), 5)
+        # h^-2 = 1e-300 is normal, but a_0/lead = 1e310 overflows; the mapped
+        # slope y'(h) = 1e300 * h overflows at h = 1e10
+        bcs = [BoundaryCondition("left", 0, 0.0), BoundaryCondition("right", 1, slope)]
+        p = BvpProblem(2, coefficients, lambda x: 1.0, (0.0, width), bcs, 5)
         msg = "interval width %r is out of double range for an order-2 problem" % width
         with pytest.raises(ValueError, match=re.escape(msg)):
             map_domain(p)
@@ -250,8 +244,7 @@ class TestAssemble:
         basis = gram_schmidt_basis(n)
         theta = build_theta(n)
         t0, t1_row = basis.projection_row(0), basis.projection_row(1)
-        e0 = Vector([1.0] + [0.0] * n)
-        v2 = mat_vec(theta.theta, e0)  # coefficients of the double integral of phi_0
+        v2 = theta_times(theta, [1.0] + [0.0] * n)  # the double integral of phi_0
         for _ in range(5):
             a0 = rng.uniform(-10, 10)
             a1 = rng.uniform(-10, 10)
@@ -269,9 +262,10 @@ class TestAssemble:
 
     def test_matches_dense_construction(self):
         """Entry for entry equal to the dense construction it replaced:
-        Theta^T powers by mat_mul, summed by mat_scale/mat_add, endpoint
-        rows by mat_vec.  Covers orders 1..9, m - 1 > n, zero interior
-        coefficients and mixed left/right conditions."""
+        Theta^T powers by dense products, scaled and summed entrywise,
+        endpoint rows by Theta times a vector.  Covers orders 1..9,
+        m - 1 > n, zero interior coefficients and mixed left/right
+        conditions."""
         rng = random.Random(31)
         for n in (1, 2, 7, 30):
             basis = legendre_basis(n)
@@ -370,20 +364,32 @@ def random_mapped_problem(rng, n, m, right=None):
     return BvpProblem(m, coeffs + [1.0], math.cos, (0.0, 1.0), bcs, n)
 
 
+def theta_times(theta, v):
+    """Theta v by sum() over each row, as Theta's endpoint memo forms it."""
+    return [sum(a * b for a, b in zip(row, v)) for row in theta.theta.to_rows()]
+
+
 def dense_assemble(p, basis, theta):
     """assemble as it stood before the banded construction (test oracle),
     permuted into the almost-banded order."""
     n, m, size = basis.n, p.order, basis.n + 1
-    tt = transpose(theta.theta)
+    tt = [list(col) for col in zip(*theta.theta.to_rows())]
     mc = None
-    power = identity(size)
+    power = [[1.0 if i == j else 0.0 for j in range(size)] for i in range(size)]
     for i in range(m, -1, -1):
         ai = p.coefficients[i]
         if ai != 0.0:
-            term = mat_scale(power, ai)
-            mc = term if mc is None else mat_add(mc, term)
-        if i > 0:
-            power = mat_mul(tt, power)
+            term = [[ai * v for v in row] for row in power]
+            mc = term if mc is None else [[x + y for x, y in zip(r, t)] for r, t in zip(mc, term)]
+        if i > 0:  # tt @ power, summed in ascending k with zero tt[r][k] skipped
+            nxt = []
+            for trow in tt:
+                acc = [0.0] * size
+                for tk, prow in zip(trow, power):
+                    if tk != 0.0:
+                        acc = [s + tk * v for s, v in zip(acc, prow)]
+                nxt.append(acc)
+            power = nxt
     fixed, free, right = _gamma_split(p)
     cols = _monomial_columns(p, basis)
     rho = list(project(p.rhs, basis).coeffs)
@@ -391,14 +397,14 @@ def dense_assemble(p, basis, theta):
         if val != 0.0:
             for k in range(size):
                 rho[k] -= val * cols[j][k]
-    rows = [mc.row(k) + [cols[j][k] for j in free] for k in range(size)]
+    rows = [mc[k] + [cols[j][k] for j in free] for k in range(size)]
     rhs = rho[:]
     for bc in right:
         d = bc.derivative_order
-        w = Vector([1.0] + [0.0] * n)
+        w = [1.0] + [0.0] * n
         for _ in range(m - d - 1):
-            w = mat_vec(theta.theta, w)
-        rows.append(list(w) + [
+            w = theta_times(theta, w)
+        rows.append(w + [
             (1.0 / math.factorial(j - d) if j >= d else 0.0) for j in free
         ])
         val = bc.value
@@ -606,6 +612,15 @@ class TestSolve:
             solve(p)
         assert isinstance(info.value.__cause__, ValueError)
 
+    def test_error_on_a_mapped_domain_names_the_point_in_x(self):
+        p = BvpProblem(2, (0.0, 0.0, 1.0), lambda x: math.log(x - 2.5), (2.0, 3.0),
+                       dirichlet(0.0, 0.0), 8)
+        with pytest.raises(EvaluationError, match="ValueError at x=") as info:
+            solve(p)
+        x = float(re.search(r"at x=(\S+):", str(info.value))[1])
+        assert 2.0 <= x <= 3.0
+        assert isinstance(info.value.__cause__, ValueError)
+
     def test_expression_error_keeps_its_type_and_message(self):
         # an ExprEvalError names its point and sub-expression already
         p = BvpProblem(2, (0.0, 0.0, 1.0), compile_function("log(x-0.5)"), (0.0, 1.0),
@@ -713,6 +728,28 @@ class TestPaperSecondOrderPath:
             ca = list(pa.coeffs) + [0.0] * (n + 3)
             cb = list(pb.coeffs) + [0.0] * (n + 3)
             assert max(abs(u - v) for u, v in zip(ca[: n + 3], cb[: n + 3])) <= 1e-10
+
+    def test_output_bits_are_pinned(self):
+        """One sha256 over the hex of c, gammas, every solution_poly
+        coefficient, residual_max, bc_residual_max and diverged, for 120
+        seeded Dirichlet problems: n = 1..30, each with a0 = a1 = 0, a1 = 0,
+        a0 = 0 and both nonzero, and a leading coefficient of 1 or not."""
+        rng = random.Random(1010)
+        digest = hashlib.sha256()
+        for n in range(1, 31):
+            for zero_a0, zero_a1 in ((True, True), (False, True), (True, False), (False, False)):
+                a0 = 0.0 if zero_a0 else rng.uniform(-20.0, 20.0)
+                a1 = 0.0 if zero_a1 else rng.uniform(-20.0, 20.0)
+                lead = rng.choice((1.0, rng.uniform(0.5, 2.0)))
+                w = rng.uniform(-3.0, 3.0)
+                p = BvpProblem(2, (a0, a1, lead), lambda x, w=w: math.exp(w * x), (0.0, 1.0),
+                               dirichlet(rng.uniform(-3, 3), rng.uniform(-3, 3)), n)
+                s = solve_paper_second_order(p)
+                values = [*s.c, *s.gammas, *s.solution_poly.coeffs,
+                          s.residual_max, s.bc_residual_max]
+                digest.update((" ".join(hexes(values)) + " %s\n" % s.diverged).encode())
+        assert digest.hexdigest() == (
+            "aeabdb5f381e86959c18cbc4ef8fb2123af009f0251947de98b89d05fec40445")
 
 
 # ----------------------------------------------- polynomial-data recovery
