@@ -113,7 +113,7 @@ class Matrix:
     @classmethod
     def from_rows(cls, rows):
         rows = [list(r) for r in rows]
-        ncols = len(rows[0])
+        ncols = len(rows[0]) if rows else 0
         flat = []
         for r in rows:
             if len(r) != ncols:

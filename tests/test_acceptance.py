@@ -42,6 +42,7 @@ from polybvp.basis import (
 from polybvp.cli import example_exact, example_problem
 from polybvp.opmatrix import build_theta
 from polybvp.poly import Polynomial, differentiate, eval_poly
+from polybvp.refode import reference_solution
 from polybvp.solver import (
     BoundaryCondition,
     BvpProblem,
@@ -68,7 +69,9 @@ def run_benchmark(num, number, runs, reference_tol=None):
         ok = ok and err <= tol
         parts.append("n=%d err %.3e (tol %.0e)" % (n, err, tol))
     if reference_tol is not None:
-        estimate = exact.richardson_estimate
+        # the reference's default 16-point rule against 32 points
+        coarse, fine = reference_solution(16), reference_solution(32)
+        estimate = max(abs(coarse(x) - fine(x)) for x in GRID)
         ok = ok and estimate <= reference_tol
         parts.append(
             "reference estimate %.1e (tol %.1e)" % (estimate, reference_tol)

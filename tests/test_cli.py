@@ -265,8 +265,8 @@ PAPER_CSV_SHA256 = {
     "example1_n10.csv": "ba1d5f676981c885a51918a6ae2b18eb5efea60db54bd56e5866f936990461b6",
     "example2_n7.csv": "7dce3dcf69c6f63e82951f2106292c9e301950145cb76c50bdc5f24018733a6b",
     "example2_n12.csv": "77874a3f71a4f5f7d83635b23cfd0c7afe010df67c20401abebdd8f2edac6677",
-    "example3_n9.csv": "be346c731f055937af0ae4e54c4e06ebf92753eced1842c13a80906307b847d6",
-    "example3_n11.csv": "77e7892fa13a952738a55f2e971b45c97fc63d43a398110289e1b71695cb26bb",
+    "example3_n9.csv": "db55b10fc06feeb19e3635eb6ae3a09a3335b7e27d0d3c668ce8298e7b4c67a4",
+    "example3_n11.csv": "fb050dc93930eae66d0498545e5569a7e8a9807c75b03bc3228dddac9a776a8b",
     "example4_n7.csv": "4b1025414eaa5943089a03293d67c6287033930f6fbf186ccac44e002e2e4b06",
     "example4_n10.csv": "a0a1aca028bb919d5463237739cece515c094f43487ac49345096148837d7469",
 }

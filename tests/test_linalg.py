@@ -83,6 +83,11 @@ class TestContainers:
         with pytest.raises(LinAlgError):
             Matrix.from_rows([[1.0, 2.0], [3.0]])
 
+    def test_empty_matrix_literals(self):
+        for rows in ([], [[]]):
+            with pytest.raises(LinAlgError, match="dimensions must be positive"):
+                Matrix.from_rows(rows)
+
     def test_overflowing_result_raises(self):
         # computed results skip float() conversion but not the finiteness check
         with pytest.raises(LinAlgError, match="non-finite entry inf in matrix"):

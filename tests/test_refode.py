@@ -1,181 +1,42 @@
-"""Reference RK4 integrator and the Hermite-interpolated IVP evaluator."""
-
-import math
+"""Duhamel-quadrature reference for example 3: y'' - 5y' + 2y = tan x,
+y(0) = y'(0) = 0."""
 
 import pytest
 
-from polybvp.exprparse import compile_function
-from polybvp.refode import (
-    DivergenceError,
-    StepLimitError,
-    UnsupportedProblemError,
-    integrate_rk4,
-    reference_solution,
-)
-from polybvp.solver import BoundaryCondition, BvpProblem
+from polybvp.refode import reference_solution
+
+# 25 digits of the Duhamel integral, computed with mpmath 1.3.0 at mp.dps = 25:
+#   r1, r2 = (5 + sqrt(17))/2, (5 - sqrt(17))/2
+#   quad(lambda s: (exp(r1*(x-s)) - exp(r2*(x-s)))/(r1-r2)*tan(s), [0, x])
+HIGH_PRECISION = {
+    0.25: 0.003668039304763190885846528,
+    0.5: 0.0440188631206832588684636,
+    0.75: 0.2381505409132781143988863,
+    1.0: 0.9681877982070985445249384,
+}
 
 
-def exp_rhs(x, u):
-    return (u[0],)
-
-
-def tan_forced_rhs():
-    """y'' - 5y' + 2y = tan(x) as the companion system u' = f(x, u)."""
-    tan = compile_function("tan(x)")
-    return lambda x, u: (u[1], tan(x) + 5.0 * u[1] - 2.0 * u[0])
-
-
-def tan_forced_problem(n=9, rhs=None):
-    # y'' - 5y' + 2y = tan(x), y(0) = y'(0) = 0
-    return BvpProblem(
-        2,
-        (2.0, -5.0, 1.0),
-        rhs or compile_function("tan(x)"),
-        (0.0, 1.0),
-        [BoundaryCondition("left", 0, 0.0), BoundaryCondition("left", 1, 0.0)],
-        n,
-    )
-
-
-def test_constant_trajectory():
-    traj = integrate_rk4(lambda x, u: (0.0,), (3.5,), 10)
-    assert len(traj) == 11
-    assert all(state[0] == 3.5 for _, state in traj)
-    assert traj[0][0] == 0.0 and traj[-1][0] == 1.0
-
-
-def test_exponential_endpoint():
-    traj = integrate_rk4(exp_rhs, (1.0,), 1000)
-    assert abs(traj[-1][1][0] - math.e) <= 1e-11
-
-
-def test_fourth_order_convergence():
-    """Error at x=1 shrinks ~16x per step doubling (ratio in [12, 20])."""
-    errors = []
-    for steps in (100, 200, 400, 800):
-        traj = integrate_rk4(exp_rhs, (1.0,), steps)
-        errors.append(abs(traj[-1][1][0] - math.e))
-    for coarse, fine in zip(errors, errors[1:]):
-        assert 12.0 <= coarse / fine <= 20.0
-
-
-def test_step_doubling_self_consistency():
-    """The tan-forced system at 1e5 steps moves < 1e-12 when steps double."""
-    rhs = tan_forced_rhs()
-    y1 = integrate_rk4(rhs, (0.0, 0.0), 100000)[-1][1][0]
-    y2 = integrate_rk4(rhs, (0.0, 0.0), 200000)[-1][1][0]
-    assert abs(y1 - y2) < 1e-12
-
-
-def test_divergence_reports_step():
-    # quadratic blow-up escapes to inf inside [0, 1]
-    with pytest.raises(DivergenceError, match="step"):
-        integrate_rk4(lambda x, u: (u[0] * u[0],), (5.0,), 100)
+def test_agrees_with_high_precision_values():
+    y = reference_solution()
+    for x, value in HIGH_PRECISION.items():
+        assert abs(y(x) - value) <= 1e-15, x
 
 
 def test_reference_imposes_initial_value():
-    ref = reference_solution(tan_forced_problem())
-    assert abs(ref(0.0)) <= 1e-14
+    # y(0) = y'(0) = y''(0) = 0 and y'''(0) = 1, y''''(0) = 5
+    y = reference_solution()
+    assert y(0.0) == 0.0
+    for x in (1e-4, 1e-3, 1e-2):
+        assert y(x) == pytest.approx(x**3 / 6.0, rel=2.0 * x)
 
 
-def test_reference_on_pure_quadrature():
-    p = BvpProblem(
-        2,
-        (0.0, 0.0, 1.0),
-        lambda x: 2.0,
-        (0.0, 1.0),
-        [BoundaryCondition("left", 0, 0.0), BoundaryCondition("left", 1, 0.0)],
-        5,
-    )
-    ref = reference_solution(p)
-    worst = max(abs(ref(i / 200.0) - (i / 200.0) ** 2) for i in range(201))
-    assert worst <= 1e-10
+def test_reference_rule_doubling_agreement():
+    coarse, fine = reference_solution(16), reference_solution(32)
+    assert max(abs(coarse(i / 64) - fine(i / 64)) for i in range(65)) <= 1e-15
 
 
-def test_reference_step_halving_agreement():
-    """The step-doubled reference matches 40 000 fixed steps on the grid,
-    whose points x = i/1000 are nodes of the fixed run."""
-    ref = reference_solution(tan_forced_problem())
-    rhs = tan_forced_rhs()
-    fixed = integrate_rk4(rhs, (0.0, 0.0), 40000)[::40]
-    assert [x for x, _ in fixed] == [i / 1000.0 for i in range(1001)]
-    worst = max(abs(ref(x) - u[0]) for x, u in fixed)
-    assert worst <= 1e-12
-
-
-def test_reference_evaluates_each_abscissa_once():
-    """Midpoint stages, step ends and doubling levels share rhs evaluations."""
-    tan = compile_function("tan(x)")
-    seen = []
-
-    def rhs(x):
-        seen.append(x)
-        return tan(x)
-
-    ref = reference_solution(tan_forced_problem(rhs=rhs))
-    assert len(set(seen)) == len(seen)
-    assert len(seen) == 2 * ref.steps + 1
-    assert ref.richardson_estimate <= 1e-13
-
-
-def test_stage_abscissae_are_the_nodes_of_the_doubled_run():
-    """k4 of a step and k1 of the next share an abscissa; the midpoint
-    stages sit exactly on the odd nodes of the run at twice the steps."""
-    seen = set()
-
-    def f(x, u):
-        seen.add(x)
-        return (u[0],)
-
-    integrate_rk4(f, (1.0,), 300)
-    fine = integrate_rk4(exp_rhs, (1.0,), 600)
-    assert seen == {x for x, _ in fine}
-
-
-def test_unresolved_reference_raises_at_the_step_cap():
-    """A jump at an irrational point keeps RK4 at low order: no return."""
-    jump = 1.0 / math.sqrt(2.0)
-    seen = []
-
-    def rhs(x):
-        seen.append(x)
-        return 1.0 if x > jump else 0.0
-
-    p = BvpProblem(
-        1, (0.0, 1.0), rhs, (0.0, 1.0), [BoundaryCondition("left", 0, 0.0)], 5
-    )
-    with pytest.raises(StepLimitError, match="80000-step cap"):
-        reference_solution(p)
-    assert len(seen) == 2 * 80000 + 1  # every abscissa of the capped level, once
-
-
-def test_hermite_interpolation_error():
-    """Between-node error stays <= 1e-9 for y' = y at the doubled step count."""
-    p = BvpProblem(
-        1,
-        (-1.0, 1.0),
-        lambda x: 0.0,
-        (0.0, 1.0),
-        [BoundaryCondition("left", 0, 1.0)],
-        5,
-    )
-    ref = reference_solution(p)
-    assert ref.steps >= 5000
-    worst = 0.0
-    for i in range(999):
-        x = (i + 0.37) / 1000.0  # deliberately off the RK grid
-        worst = max(worst, abs(ref(x) - math.exp(x)))
-    assert worst <= 1e-9
-
-
-def test_right_conditions_rejected():
-    p = BvpProblem(
-        2,
-        (0.0, 0.0, 1.0),
-        lambda x: 2.0,
-        (0.0, 1.0),
-        [BoundaryCondition("left", 0, 0.0), BoundaryCondition("right", 0, 1.0)],
-        5,
-    )
-    with pytest.raises(UnsupportedProblemError):
-        reference_solution(p)
+def test_rejects_points_outside_the_domain():
+    y = reference_solution()
+    for x in (-1e-9, 1.0 + 1e-9, 2.0):
+        with pytest.raises(ValueError, match="outside"):
+            y(x)
