@@ -1,15 +1,17 @@
 """Orthonormal polynomial basis of L2[0,1].
 
-Two independent constructions of the same set phi_0..phi_n: Gram-Schmidt
-over the Bernoulli polynomials, and the normalized shifted-Legendre
-three-term recurrence.  Both are carried in exact rational arithmetic and
-share one skeleton representation,
+The paper orthonormalizes the Bernoulli polynomials by Gram-Schmidt; the
+result is the normalized shifted Legendre polynomials,
 
     phi_k = sqrt(scale_sq[k]) * (integer coefficient vector V_k),
 
-so orthonormality, span and conversion identities can be verified with zero
-rounding, and the float views of the two routes agree bit for bit.  Floats
-are produced by a single correctly-rounded square root per coefficient.
+with scale_sq[k] = 2k+1 and V_k[j] = (-1)^(k+j) C(k,j) C(k+j,j).  Two
+constructions share that skeleton.  gram_schmidt_basis is the paper's
+route, carried in exact rational arithmetic, and stays as the faithful
+construction and test oracle.  legendre_basis writes the skeleton down from
+its closed form in integers, and is what the solver uses.  The float views
+of the two agree bit for bit: each coefficient is the square root of the
+exact c*c*scale_sq, converted to float with one correct rounding.
 """
 
 from fractions import Fraction
@@ -46,11 +48,11 @@ def inner_product(f, g):
 
 
 def _radical_float(c, s):
-    """Correctly rounded float of c*sqrt(s) for exact rational c and s >= 0."""
-    if c == 0:
-        return 0.0
-    r = math.sqrt(float(Fraction(c) * Fraction(c) * Fraction(s)))
-    return r if c > 0 else -r
+    """c*sqrt(s) for exact c and s >= 0 (int or Fraction): the square root
+    of the float of the exact c*c*s, which CPython rounds correctly, signed
+    like c."""
+    r = math.sqrt(c * c * s)
+    return r if c >= 0 else -r
 
 
 class OrthonormalBasis:
@@ -68,32 +70,29 @@ class OrthonormalBasis:
     def __init__(self, ivecs, scales):
         self.n = len(ivecs) - 1
         self.integer_coeffs = tuple(tuple(v) for v in ivecs)
-        self.scale_sq = tuple(Fraction(s) for s in scales)
+        self.scale_sq = tuple(scales)
         self.phis = [
             Polynomial([_radical_float(c, s) for c in vec])
             for vec, s in zip(self.integer_coeffs, self.scale_sq)
         ]
         self._float_rows = {}
 
-    def projection_row_exact(self, p):
-        """Rationals w_k = sum_j V_k[j]/(p+j+1), so that
-        <x^p, phi_k> = w_k * sqrt(scale_sq[k]).
-
-        For p <= n, sum_k w_k * scale_sq[k] * V_k is exactly x^p; beyond n
-        it is the L2 projection of x^p onto the span.
-        """
-        return [
-            sum((Fraction(c, p + j + 1) for j, c in enumerate(vec)), Fraction(0))
-            for vec in self.integer_coeffs
-        ]
-
     def projection_row(self, p):
-        """Floats <x^p, phi_k> as a tuple, memoized per p."""
+        """Floats <x^p, phi_k> as a tuple, memoized per p.
+
+        With phi_k = sqrt(2k+1) P_k for the shifted Legendre P_k,
+        <x^p, P_k> = p!^2 / ((p-k)! (p+k+1)!) for k <= p and 0 beyond.  Each
+        float is the square root of the exact square
+        p!^4 (2k+1) / ((p-k)! (p+k+1)!)^2, rounded once by int/int division.
+        """
         row = self._float_rows.get(p)
         if row is None:
+            f = math.factorial
+            num = f(p) ** 4
             row = self._float_rows[p] = tuple(
-                _radical_float(w, s)
-                for w, s in zip(self.projection_row_exact(p), self.scale_sq)
+                math.sqrt(num * (2 * k + 1) / (f(p - k) * f(p + k + 1)) ** 2)
+                if k <= p else 0.0
+                for k in range(self.n + 1)
             )
         return row
 
@@ -152,23 +151,16 @@ def gram_schmidt_basis(n):
 
 @lru_cache(maxsize=None)
 def legendre_basis(n):
-    """Same basis via the shifted Legendre recurrence, scaled by sqrt(2k+1)."""
+    """The same basis from the closed form of its integer skeleton,
+    V_k[j] = (-1)^(k+j) C(k,j) C(k+j,j) and scale_sq[k] = 2k+1."""
     _check_degree(n)
-    vecs = [(1,)]
-    if n >= 1:
-        vecs.append((-1, 2))
-    for k in range(1, n):
-        prev, cur = vecs[k - 1], vecs[k]
-        # (k+1) P_{k+1} = (2k+1)(2x-1) P_k - k P_{k-1}
-        nxt = [Fraction(0)] * (k + 2)
-        for j, c in enumerate(cur):
-            nxt[j + 1] += Fraction(2 * (2 * k + 1) * c, k + 1)
-            nxt[j] -= Fraction((2 * k + 1) * c, k + 1)
-        for j, c in enumerate(prev):
-            nxt[j] -= Fraction(k * c, k + 1)
-        assert all(c.denominator == 1 for c in nxt)
-        vecs.append(tuple(int(c) for c in nxt))
-    return OrthonormalBasis(list(vecs), [Fraction(2 * k + 1) for k in range(n + 1)])
+    return OrthonormalBasis(
+        [
+            [(-1) ** (k + j) * math.comb(k, j) * math.comb(k + j, j) for j in range(k + 1)]
+            for k in range(n + 1)
+        ],
+        [2 * k + 1 for k in range(n + 1)],
+    )
 
 
 def eval_basis(basis, x):

@@ -35,7 +35,7 @@ import os
 import re
 import sys
 
-from .basis import gram_schmidt_basis
+from .basis import gram_schmidt_basis, legendre_basis
 from .approx import gauss_legendre_rule, project, reconstruct
 from .exprparse import compile_function
 from .opmatrix import build_theta
@@ -174,7 +174,10 @@ def load_problem_file(path):
 def _grid(x0, x1, points):
     if points < 2:
         raise ValueError("grid needs at least 2 points, got %d" % points)
-    return [x0 + (x1 - x0) * i / (points - 1) for i in range(points)]
+    xs = [x0 + (x1 - x0) * i / (points - 1) for i in range(points)]
+    # the last point can round one ulp past x1; the others lie a whole step below it
+    xs[-1] = min(xs[-1], x1)
+    return xs
 
 
 def _compare(xs, f, gs):
@@ -346,7 +349,7 @@ def cmd_opmatrix(args):
 
 def cmd_approx(args):
     f = compile_function(args.expr)
-    basis = gram_schmidt_basis(args.n)
+    basis = legendre_basis(args.n)
     rule = gauss_legendre_rule(args.q) if args.q is not None else None
     result = project(f, basis, rule)
     xs = _grid(0.0, 1.0, args.grid)

@@ -13,11 +13,11 @@ antidifferentiation of C^T phi (degree n+m), so imposed left conditions hold
 to round-off and the endpoint rows are consistent with the returned
 polynomial.
 
-The basis comes from the shifted-Legendre recurrence (legendre_basis), whose
-float view is bit-identical to the paper's Gram-Schmidt construction;
-Gram-Schmidt stays as the paper's route and the test oracle.  Quadrature
-rules, default-rule node tables and float projection rows are memoized per
-degree, and so is Theta: build_theta keeps one OperationalMatrix per
+The basis comes from the closed form of the shifted Legendre polynomials
+(legendre_basis), whose float view is bit-identical to the paper's
+Gram-Schmidt construction; Gram-Schmidt stays as the paper's route and the
+test oracle.  Quadrature rules, default-rule node tables and float
+projection rows are memoized per degree, and so is Theta: build_theta keeps one OperationalMatrix per
 degree, which memoizes the bands of (Theta^T)^k and the endpoint vectors
 Theta^k e0.  assemble only adds a_i times those bands and copies the
 endpoint vectors, with the same floating-point operations as the dense
@@ -304,6 +304,8 @@ def _diagnostics(p, solution_poly, grid=201):
     rhs_max = 0.0
     for i in range(grid):
         x = x0 + (x1 - x0) * i / (grid - 1)
+        if x > x1:  # the last point can round one ulp past x1
+            x = x1
         rx = _eval_checked(p.rhs, x)
         res = abs(ly(x) - rx)
         if res > res_max:

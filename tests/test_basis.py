@@ -1,8 +1,10 @@
 """Orthonormal basis construction and monomial conversion.
 
 Two independent constructions (Gram-Schmidt over the Bernoulli family and
-the shifted-Legendre recurrence) must coincide; the printed low-order
-fixtures pin signs and scaling.
+the closed form of the shifted Legendre polynomials) must coincide; the
+printed low-order fixtures pin signs and scaling.  The float projection rows
+come from their own closed form and are checked against the exact rational
+route, projection_row_exact below.
 """
 
 import math
@@ -12,6 +14,7 @@ import pytest
 
 from polybvp.approx import gauss_legendre_rule
 from polybvp.basis import (
+    MAX_DEGREE,
     BasisConstructionError,
     eval_basis,
     gram_schmidt_basis,
@@ -19,6 +22,26 @@ from polybvp.basis import (
     legendre_basis,
 )
 from polybvp.poly import Polynomial, bernoulli_polynomial, eval_poly
+
+
+def projection_row_exact(basis, p):
+    """Rationals w_k = sum_j V_k[j]/(p+j+1), so that
+    <x^p, phi_k> = w_k * sqrt(scale_sq[k]).
+
+    For p <= n, sum_k w_k * scale_sq[k] * V_k is exactly x^p; beyond n
+    it is the L2 projection of x^p onto the span.
+    """
+    return [
+        sum((Fraction(c, p + j + 1) for j, c in enumerate(vec)), Fraction(0))
+        for vec in basis.integer_coeffs
+    ]
+
+
+def exact_radical_float(c, s):
+    """c*sqrt(s) by way of the exact rational c*c*s: one correctly rounded
+    conversion to float, then the square root."""
+    r = math.sqrt(float(Fraction(c) ** 2 * Fraction(s)))
+    return -r if c < 0 else r
 
 
 def max_coeff_dev(p, expected):
@@ -66,11 +89,12 @@ def test_legendre_low_order_fixtures(k, expected):
 
 def test_constructions_agree():
     """The float views of both constructions are equal, not merely close:
-    the solver builds its basis from the recurrence, so every float it
+    the solver builds its basis from the closed form, so every float it
     reads must be the one Gram-Schmidt gives.  That holds because the exact
     forms are equal.  Rows p <= n are the monomial-to-basis conversion;
     rows with p > n are read by problems whose order exceeds the degree
-    (order 9 at n = 7)."""
+    (order 9 at n = 7).  Both constructions share the closed-form rows;
+    test_closed_forms_match_the_exact_rational_route checks those."""
     for n in (1, 12, 20, 30):
         gs = gram_schmidt_basis(n)
         lg = legendre_basis(n)
@@ -251,6 +275,25 @@ def test_conversion_expands_monomials():
             assert abs(expanded - x**p) <= 1e-11, (p, x)
 
 
+def test_closed_forms_match_the_exact_rational_route():
+    """phis and projection_row are the floats of the exact rational route,
+    bit for bit, for every degree and for rows p <= n+9 (problem orders
+    reach 9): each float is the rounded square root of a rational that the
+    route forms in Fractions from the integer skeleton."""
+    for n in range(MAX_DEGREE + 1):
+        basis = legendre_basis(n)
+        pairs = list(zip(basis.integer_coeffs, basis.scale_sq))
+        assert basis.phis == [
+            Polynomial([exact_radical_float(c, s) for c in vec]) for vec, s in pairs
+        ], n
+        for p in range(n + 10):
+            want = tuple(
+                exact_radical_float(w, s)
+                for w, s in zip(projection_row_exact(basis, p), basis.scale_sq)
+            )
+            assert basis.projection_row(p) == want, (n, p)
+
+
 @pytest.mark.parametrize("construct", [gram_schmidt_basis, legendre_basis])
 @pytest.mark.parametrize("n", [1, 12, 30])
 def test_projection_rows_expand_monomials_exactly(construct, n):
@@ -260,7 +303,7 @@ def test_projection_rows_expand_monomials_exactly(construct, n):
     for p in range(n + 1):
         acc = [Fraction(0)] * (n + 1)
         for w, s, vec in zip(
-            basis.projection_row_exact(p), basis.scale_sq, basis.integer_coeffs
+            projection_row_exact(basis, p), basis.scale_sq, basis.integer_coeffs
         ):
             for j, v in enumerate(vec):
                 acc[j] += w * s * v

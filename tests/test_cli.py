@@ -159,6 +159,32 @@ def test_solve_failure_writes_no_csv(tmp_path, capsys):
     assert not out.exists()
 
 
+SQRT_FILE = """\
+# y = (0.6-x)^(5/2); rhs and exact are undefined past x1
+order = 2
+interval = -0.19 0.6
+rhs = 3.75*sqrt(0.6-x)
+bc = left 0 0.5547122135846659
+bc = right 0 0
+n = 8
+exact = sqrt(0.6-x)*(0.6-x)^2
+"""
+
+
+def test_solve_report_grid_ends_at_x1(tmp_path, capsys):
+    # -0.19 + 0.79 * i/(N-1) rounds to 0.6000000000000001 at i = N-1 for the
+    # 201-point diagnostics grid and the 1001-point report grid alike
+    out = tmp_path / "sol.csv"
+    rc = main(["solve", write_problem(tmp_path, SQRT_FILE), "--csv", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    assert float(stdout_fields(captured.out)["max_abs_error"]) <= 1e-4
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 1002
+    assert float(lines[1].split(",")[0]) == -0.19
+    assert float(lines[-1].split(",")[0]) == 0.6
+
+
 @pytest.mark.parametrize("points", [1, 0, -3])
 def test_solve_rejects_a_grid_below_two_points(tmp_path, capsys, points):
     out = tmp_path / "sol.csv"
@@ -384,6 +410,8 @@ DUMP_SHA256 = {
         "3630be2bb4b7be349b2025e7d9ddfed3ba93768cd01149bc2ceae11d059ee1a0",
     ("approx", "exp(x)", "--n", "10", "--q", "40"):
         "6d36e69c258232224a4f854390ea8b912698c8db6f8b17354bc71f272fd7e710",
+    ("approx", "exp(x)", "--n", "30"):
+        "4e359699aef48f830d69b4012d66b56e487486717dc6bbd82c091a59b9c784c2",
     ("paper", "--example", "all"):
         "9b550723da3481569520b5835e4414f44e6ca98e46b04ba20ed57eb77b5a9e1c",
 }

@@ -631,6 +631,15 @@ class TestSolve:
         assert str(info.value) == ("log of non-positive value in 'log(x-0.5)' "
                                    "at x=0.0013680690752592183")
 
+    def test_diagnostics_grid_ends_at_x1(self):
+        # -0.19 + 0.79 * 200/200 rounds to 0.6000000000000001, where the
+        # rhs is undefined; the grid must stop at x1 itself
+        p = BvpProblem(2, (0.0, 0.0, 1.0), lambda x: math.sqrt(0.6 - x), (-0.19, 0.6),
+                       dirichlet(0.0, 0.0), 8)
+        s = solve(p)
+        assert math.isfinite(s.residual_max)
+        assert s.bc_residual_max <= 1e-12
+
     def test_overflowing_system_is_reported_as_non_finite(self):
         # the coefficients are finite but the assembled system overflows;
         # that must not surface as a singular (ill-posed) system
