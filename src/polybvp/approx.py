@@ -33,9 +33,6 @@ class QuadratureRule:
         self.nodes = tuple(nodes)
         self.weights = tuple(weights)
 
-    def __len__(self):
-        return len(self.nodes)
-
 
 def _newton(x, q, tol):
     """Newton on P_q from x, in the arithmetic of x (float or Decimal),

@@ -341,9 +341,8 @@ def cmd_basis(args):
 
 
 def cmd_opmatrix(args):
-    theta = build_theta(args.n).theta
-    for i in range(theta.rows):
-        print(",".join(_fmt(v) for v in theta.row(i)))
+    for row in build_theta(args.n).rows():
+        print(",".join(_fmt(v) for v in row))
     return 0
 
 

@@ -4,36 +4,46 @@ Theta satisfies the defining identity  integral_0^zeta phi(eta) d eta =
 Theta phi(zeta)  row by row, except that the last row drops the phi_{n+1}
 spill-over term (the matrix is square by construction); that truncation is
 part of the method and shows up in the solver's residual diagnostic, not
-here.  Entries come from the closed form, no quadrature.
+here.  Theta is tridiagonal and comes from its closed form, no quadrature:
+Theta[0][0] = 1/2 and Theta[i][i+1] = -Theta[i+1][i] = 1/(2 sqrt((2i+1)(2i+3))).
+OperationalMatrix keeps only that band, the nonzeros of each row.
 
-Theta, its transposed powers and its endpoint vectors Theta^k e0 depend on
-the degree alone.  build_theta keeps one OperationalMatrix per degree, and
-that instance memoizes both tables, growing each on demand to the largest
-power asked for.
+Theta and its transposed powers depend on the degree alone.  build_theta
+keeps one OperationalMatrix per degree, and that instance memoizes the
+powers, growing the table on demand to the largest power asked for.
 """
 
 from array import array
+from functools import lru_cache
 import math
-
-from .linalg import Matrix
-
-_thetas = {}
 
 
 class OperationalMatrix:
-    """Theta for degree n, memoizing its transposed powers and endpoint
-    vectors."""
+    """Theta for degree n as its band, memoizing its transposed powers."""
 
-    __slots__ = ("n", "theta", "_powers", "_ends")
+    __slots__ = ("n", "band", "_powers")
 
-    def __init__(self, n, theta):
+    def __init__(self, n):
         self.n = n
-        self.theta = theta
+        s = [1.0 / (2.0 * math.sqrt((2 * i + 1) * (2 * i + 3))) for i in range(n)]
+        # band[i]: the (column, value) nonzeros of row i, ascending column
+        self.band = (
+            ((0, 0.5), (1, s[0])),
+            *(((i - 1, -s[i - 1]), (i + 1, s[i])) for i in range(1, n)),
+            ((n - 1, -s[n - 1]),),
+        )
         self._powers = [[(i, array("d", [1.0])) for i in range(n + 1)]]
-        self._ends = [array("d", [1.0] + [0.0] * n)]
 
     def __repr__(self):
         return "OperationalMatrix(n=%d)" % self.n
+
+    def rows(self):
+        """Theta as n+1 dense rows of floats, +0.0 off the band."""
+        out = [[0.0] * (self.n + 1) for _ in self.band]
+        for row, terms in zip(out, self.band):
+            for j, v in terms:
+                row[j] = v
+        return out
 
     def add_transposed_power(self, rows, a, k):
         """rows += a (Theta^T)^k in place: each entry x becomes x + a*p.
@@ -59,11 +69,10 @@ class OperationalMatrix:
         powers = self._powers
         if len(powers) <= k:
             size = self.n + 1
-            theta_rows = self.theta.to_rows()
-            entries = [
-                [(r, theta_rows[r][i]) for r in range(size) if theta_rows[r][i] != 0.0]
-                for i in range(size)
-            ]
+            entries = [[] for _ in range(size)]
+            for r, terms in enumerate(self.band):
+                for i, v in terms:
+                    entries[i].append((r, v))
             powers = list(powers)
             while len(powers) <= k:
                 prev = powers[-1]
@@ -82,36 +91,11 @@ class OperationalMatrix:
             self._powers = powers
         return powers[k]
 
-    def endpoint(self, k):
-        """Theta^k e0, the endpoint integrals of the basis.  The array is
-        the memo's own: read it, do not modify it."""
-        ends = self._ends
-        if len(ends) <= k:
-            theta_rows = self.theta.to_rows()
-            ends = list(ends)  # grown and replaced whole, as in _power
-            # sum() as in the dense_assemble test oracle: they agree on every interpreter
-            while len(ends) <= k:
-                ends.append(array("d", [sum(a * b for a, b in zip(r, ends[-1])) for r in theta_rows]))
-            self._ends = ends
-        return ends[k]
 
-
+@lru_cache(maxsize=None, typed=True)
 def build_theta(n):
-    """The (n+1)x(n+1) integration matrix for basis degree n.
-
-    One instance per degree, so its memoized tables serve every solve.
-    """
+    """The (n+1)x(n+1) integration matrix for basis degree n, memoized per
+    degree so that its table of powers serves every solve."""
     if not isinstance(n, int) or not 1 <= n <= 30:
         raise ValueError("operational matrix degree %r outside supported range 1..30" % (n,))
-    op = _thetas.get(n)
-    if op is None:
-        size = n + 1
-        e = [0.0] * (size * size)
-        e[0] = 0.5
-        e[1] = 1.0 / (2.0 * math.sqrt(3.0))
-        for i in range(1, n):
-            e[i * size + i - 1] = -1.0 / (2.0 * math.sqrt((2 * i - 1) * (2 * i + 1)))
-            e[i * size + i + 1] = 1.0 / (2.0 * math.sqrt((2 * i + 1) * (2 * i + 3)))
-        e[n * size + n - 1] = -1.0 / (2.0 * math.sqrt((2 * n - 1) * (2 * n + 1)))
-        op = _thetas[n] = OperationalMatrix(n, Matrix._of(size, size, e))
-    return op
+    return OperationalMatrix(n)

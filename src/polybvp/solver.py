@@ -8,25 +8,30 @@ and lower derivatives follow by repeated integration,
 with gamma_j = y^(j)(0).  Matching basis coefficients of the substituted ODE
 gives n+1 equations; left boundary conditions pin gammas directly, right ones
 contribute one row each through the exact endpoint integrals
-Theta^(m-d-1) e0.  The solution polynomial is reconstructed by exact repeated
+
+    integral_0^1 (1-t)^k/k! phi_j(t) dt = (-1)^j <t^k, phi_j>/k!,  k = m-d-1,
+
+by Cauchy's repeated-integration formula and phi_j(1-t) = (-1)^j phi_j(t).
+The solution polynomial is reconstructed by exact repeated
 antidifferentiation of C^T phi (degree n+m), so imposed left conditions hold
-to round-off and the endpoint rows are consistent with the returned
-polynomial.
+to round-off and, at every n, the endpoint rows are consistent with the
+returned polynomial.
 
 The basis comes from the closed form of the shifted Legendre polynomials
 (legendre_basis), whose float view is bit-identical to the paper's
 Gram-Schmidt construction; Gram-Schmidt stays as the paper's route and the
 test oracle.  Quadrature rules, default-rule node tables and float
-projection rows are memoized per degree, and so is Theta: build_theta keeps one OperationalMatrix per
-degree, which memoizes the bands of (Theta^T)^k and the endpoint vectors
-Theta^k e0.  assemble only adds a_i times those bands and copies the
-endpoint vectors, with the same floating-point operations as the dense
-construction.  It builds the system from floats it computed, so the system
-is checked once for finiteness (Matrix._of, Vector._of) instead of being
-converted and validated entry by entry, and solve_linear validates nothing
-again.  The diagnostics fold L[y] = sum a_k y^(k) into one polynomial, so
-residual_max can differ from releases that evaluated each derivative
-separately; the solution itself does not.
+projection rows <x^p, phi_k> are memoized per degree, and the endpoint rows
+and the gamma columns both read those rows.  Theta is memoized too:
+build_theta keeps one OperationalMatrix per degree, which memoizes the bands
+of (Theta^T)^k.  assemble only adds a_i times those bands, with the same
+floating-point operations as the dense construction.  It builds the system
+from floats it computed, so the system is checked once for finiteness
+(Matrix._of, Vector._of) instead of being converted and validated entry by
+entry, and solve_linear validates nothing again.  The diagnostics fold
+L[y] = sum a_k y^(k) into one polynomial, so residual_max can differ from
+releases that evaluated each derivative separately; the solution itself does
+not.
 
 solve_paper_second_order keeps the closed-form second-order Dirichlet path
 (rank-one correction matrix L absorbing the boundary terms) as an internal
@@ -224,7 +229,7 @@ def assemble(p, basis, theta):
     coefficient-matching rows.  Columns: the f free gammas ascending, then
     C_0..C_n.  The matrix carries row extents derived from that structure,
     not from its values: endpoint row d reaches the gammas and
-    C_0..C_min(n, m-d-1) (Theta^k e0 ends at index k); matching row k
+    C_0..C_min(n, m-d-1) (projection row k ends at index k); matching row k
     reaches the gammas only for k < m (gamma_j's polynomial has degree
     j < m) and C_max(0, k-m)..C_min(n, k+m) (the band of Theta^T's
     powers).  The starts never decrease down the rows, and no entry is
@@ -257,12 +262,17 @@ def assemble(p, basis, theta):
     # The system is built from floats computed here, so Matrix._of and
     # Vector._of only check it for finiteness once.
     entries, extents, rhs = [], [], []
-    # endpoint rows: y^(d)(1) = sum_{j>=d} gamma_j/(j-d)! + C.Theta^(m-d-1) e0
+    # endpoint rows: y^(d)(1) = sum_{j>=d} gamma_j/(j-d)! + sum_j C_j
+    # (-1)^j <t^k, phi_j>/k!, k = m-d-1 (module docstring); only nonzero
+    # entries are negated, so none is -0.0
     for bc in right:
         d = bc.derivative_order
+        k = m - d - 1
+        fk = math.factorial(k)
         entries += [(1.0 / math.factorial(j - d) if j >= d else 0.0) for j in free]
-        entries += theta.endpoint(m - d - 1)
-        extents.append((0, f + min(n, m - d - 1) + 1))
+        entries += [-v / fk if j & 1 and v else v / fk
+                    for j, v in enumerate(basis.projection_row(k))]
+        extents.append((0, f + min(n, k) + 1))
         val = bc.value
         for j, gval in fixed.items():
             if j >= d and gval != 0.0:
@@ -384,18 +394,17 @@ def solve_paper_second_order(p):
     size = n + 1
 
     t1 = [a1 * u + a0 * v for u, v in zip(basis.projection_row(0), basis.projection_row(1))]
-    tr = theta.theta.to_rows()
+    tr = theta.rows()
     v2 = [row[0] for row in tr]  # Theta e0 = Theta^2 phi(1) under the endpoint identity
     # Row-major transposed system: entry (j, i) is entry (i, j) of
     # I + a1 Theta + a0 Theta^2 - L, where L[i][j] = v2[i] t1[j] and row i
-    # of Theta^2 sums Theta[i][k] Theta[k] in ascending k, zeros skipped.
+    # of Theta^2 sums Theta[i][k] Theta[k] over the band in ascending k.
     system = [0.0] * (size * size)
     for i, row in enumerate(tr):
         t2 = [0.0] * size
-        for tik, krow in zip(row, tr):
-            if tik != 0.0:
-                for j, tkj in enumerate(krow):
-                    t2[j] += tik * tkj
+        for k, tik in theta.band[i]:
+            for j, tkj in enumerate(tr[k]):
+                t2[j] += tik * tkj
         for j in range(size):
             system[j * size + i] = ((1.0 if i == j else 0.0) + a1 * row[j]) + (
                 a0 * t2[j] + -1.0 * (v2[i] * t1[j])

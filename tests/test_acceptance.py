@@ -142,7 +142,7 @@ RULE16 = gauss_legendre_rule(16)
 
 def theta_times(op, v):
     """Theta v, each row summed with sum()."""
-    return [sum(a * b for a, b in zip(row, v)) for row in op.theta.to_rows()]
+    return [sum(a * b for a, b in zip(row, v)) for row in op.rows()]
 
 
 def integral_oracle(basis, z):
@@ -368,10 +368,10 @@ def test_criterion_9_property_families():
     # integration-matrix structure: exact trace and closed-form band
     dev_a = 0.0
     for n in (1, 5, 12, 30):
-        theta = build_theta(n).theta
-        dev_a = max(dev_a, abs(sum(theta.at(i, i) for i in range(n + 1)) - 0.5))
+        theta = build_theta(n).rows()
+        dev_a = max(dev_a, abs(sum(theta[i][i] for i in range(n + 1)) - 0.5))
     n = 15
-    theta = build_theta(n).theta
+    theta = build_theta(n).rows()
     for i in range(n + 1):
         for j in range(n + 1):
             if i == 0 and j == 0:
@@ -384,7 +384,7 @@ def test_criterion_9_property_families():
                 want = 1.0 / (2.0 * math.sqrt((2.0 * i + 1.0) * (2.0 * i + 3.0)))
             else:
                 want = 0.0
-            dev_a = max(dev_a, abs(theta.at(i, j) - want))
+            dev_a = max(dev_a, abs(theta[i][j] - want))
 
     # orthonormality of the degree-15 basis, exact inner products on the
     # rational skeleton (the float monomial route cancels catastrophically

@@ -287,14 +287,14 @@ def test_paper_table_all_examples_pass(capsys):
 # sha256 of each file `paper --example all --csv-dir` writes: the grid
 # comparison behind the table must keep every CSV byte.
 PAPER_CSV_SHA256 = {
-    "example1_n7.csv": "be994da5d46620fc91bfdf5fe53146529a2e6d6b6aab920756d71605b0cc055a",
-    "example1_n10.csv": "ba1d5f676981c885a51918a6ae2b18eb5efea60db54bd56e5866f936990461b6",
-    "example2_n7.csv": "7dce3dcf69c6f63e82951f2106292c9e301950145cb76c50bdc5f24018733a6b",
-    "example2_n12.csv": "77874a3f71a4f5f7d83635b23cfd0c7afe010df67c20401abebdd8f2edac6677",
+    "example1_n7.csv": "9e394f654942b551dd8980f3c82c168dcc70a5a68bf540164bbad56da75c7a8e",
+    "example1_n10.csv": "ebd14c5a4524c801e88721c1970636cc5119a478312bfba36af64015bc580711",
+    "example2_n7.csv": "b3750e2ff4ec4866ce311f56b8cf1b80f0f95420d15f3d410707533982bf821b",
+    "example2_n12.csv": "9594897414dce16192a0d5a20c80e43ec290cf9f778ce8c5bafd4dde72f21fc9",
     "example3_n9.csv": "db55b10fc06feeb19e3635eb6ae3a09a3335b7e27d0d3c668ce8298e7b4c67a4",
     "example3_n11.csv": "fb050dc93930eae66d0498545e5569a7e8a9807c75b03bc3228dddac9a776a8b",
-    "example4_n7.csv": "4b1025414eaa5943089a03293d67c6287033930f6fbf186ccac44e002e2e4b06",
-    "example4_n10.csv": "a0a1aca028bb919d5463237739cece515c094f43487ac49345096148837d7469",
+    "example4_n7.csv": "c29cb98ff0929f1b81a6f61fed57db1754bdd5060e8ea3afb486855b9ce646f6",
+    "example4_n10.csv": "b3d3717e41349774a7a43f1fc62e0145410349a7c019358381ab2cb6f4c39e01",
 }
 
 
@@ -413,7 +413,7 @@ DUMP_SHA256 = {
     ("approx", "exp(x)", "--n", "30"):
         "4e359699aef48f830d69b4012d66b56e487486717dc6bbd82c091a59b9c784c2",
     ("paper", "--example", "all"):
-        "9b550723da3481569520b5835e4414f44e6ca98e46b04ba20ed57eb77b5a9e1c",
+        "8c4418ca0aefc15265daf3ac232655403e3667d931c874156dcd44f920173075",
 }
 
 
@@ -429,7 +429,7 @@ def test_dumps_are_byte_identical(argv, capsys):
 # `approx --csv` write; "ex1.txt" stands for EX1_FILE written to disk.
 CSV_SHA256 = {
     ("solve", "ex1.txt", "--grid", "101"):
-        "e8136af81ff9f3cacc825511f74bd0391bd7a2c33ffb9e6583169ff553fbc33a",
+        "69010c5aabbcfdfbe5dd4f82664329496fda0c391af2713d65603f3e63746749",
     ("approx", "exp(-x)*sin(3*x)", "--n", "10"):
         "866aa759c9847aecbede01617d366b25e9e0e812281b7a3db2dced65dc413d36",
 }

@@ -22,7 +22,7 @@ from polybvp.opmatrix import OperationalMatrix, build_theta
 
 def theta_times(op, v):
     """Theta v, each row summed with sum()."""
-    return [sum(a * b for a, b in zip(row, v)) for row in op.theta.to_rows()]
+    return [sum(a * b for a, b in zip(row, v)) for row in op.rows()]
 
 
 def sub_entry(i):
@@ -43,29 +43,29 @@ def antiderivative(basis, k, z, rule=gauss_legendre_rule(16)):
 
 
 def test_n1_fixture():
-    theta = build_theta(1).theta
+    theta = build_theta(1).rows()
     s = 0.5 / math.sqrt(3)
     want = [[0.5, s], [-s, 0.0]]
     for i in range(2):
         for j in range(2):
-            assert abs(theta.at(i, j) - want[i][j]) <= 1e-15
+            assert abs(theta[i][j] - want[i][j]) <= 1e-15
 
 
 def test_superdiagonal_entry_n2():
-    theta = build_theta(2).theta
-    assert theta.at(1, 2) == pytest.approx(1.0 / (2.0 * math.sqrt(15)), abs=1e-16)
+    theta = build_theta(2).rows()
+    assert theta[1][2] == pytest.approx(1.0 / (2.0 * math.sqrt(15)), abs=1e-16)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 12, 30])
 def test_trace_is_half(n):
-    theta = build_theta(n).theta
-    assert sum(theta.at(i, i) for i in range(n + 1)) == 0.5
+    theta = build_theta(n).rows()
+    assert sum(theta[i][i] for i in range(n + 1)) == 0.5
 
 
 @pytest.mark.parametrize("n", [2, 6, 15])
 def test_closed_form_structure(n):
     """Every entry matches the banded closed form exactly."""
-    theta = build_theta(n).theta
+    theta = build_theta(n).rows()
     for i in range(n + 1):
         for j in range(n + 1):
             if i == 0:
@@ -79,7 +79,7 @@ def test_closed_form_structure(n):
                     want = 0.0
             else:
                 want = sub_entry(n) if j == n - 1 else 0.0
-            assert theta.at(i, j) == want, (i, j)
+            assert theta[i][j] == want, (i, j)
 
 
 def test_double_integral_of_constant_direction():
@@ -146,34 +146,30 @@ def test_repeated_integration_kills_phi_at_zero():
 
 
 def test_one_instance_per_degree():
-    # solves at one degree share the memoized power and endpoint tables
+    # solves at one degree share the memoized table of powers
     assert build_theta(9) is build_theta(9)
     assert build_theta(9) is not build_theta(10)
 
 
-def tables(op, orders):
-    """Every memoized power, densely, and every endpoint vector up to orders."""
+def powers(op, orders):
+    """Every memoized power up to orders, densely."""
     size = op.n + 1
-    powers = []
+    out = []
     for k in range(orders + 1):
         rows = [[0.0] * size for _ in range(size)]
         op.add_transposed_power(rows, 1.0, k)
-        powers.append(rows)
-    return powers, [list(op.endpoint(k)) for k in range(orders)]
+        out.append(rows)
+    return out
 
 
 def test_memo_matches_dense_powers():
-    """The banded tables hold the dense (Theta^T)^k and repeated Theta e0."""
+    """The banded table holds the dense (Theta^T)^k."""
     n = 12
-    op = OperationalMatrix(n, build_theta(n).theta)
-    powers, ends = tables(op, 9)
-    tt = [[op.theta.at(j, i) for j in range(n + 1)] for i in range(n + 1)]
+    op = OperationalMatrix(n)
+    table = powers(op, 9)
+    tt = [list(col) for col in zip(*op.rows())]
     for k in range(1, 10):
-        assert powers[k] == theta_power_rows(tt, k)
-    w = [1.0] + [0.0] * n
-    for k in range(9):
-        assert ends[k] == w
-        w = theta_times(op, w)
+        assert table[k] == theta_power_rows(tt, k)
 
 
 def theta_power_rows(tt, k):
@@ -186,33 +182,32 @@ def theta_power_rows(tt, k):
 
 
 def test_concurrent_growth_leaves_the_serial_tables():
-    """Threads growing one empty memo to different orders leave the tables
+    """Threads growing one empty memo to different orders leave the table
     a single caller grows, entry for entry."""
     n = 12
-    theta = build_theta(n).theta
-    want = tables(OperationalMatrix(n, theta), 9)
+    want = powers(OperationalMatrix(n), 9)
 
     def grow(op, k):
         op.add_transposed_power([[0.0] * (n + 1) for _ in range(n + 1)], 1.0, k)
-        op.endpoint(k)
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(100):
-            op = OperationalMatrix(n, theta)
+            op = OperationalMatrix(n)
             threads = [threading.Thread(target=grow, args=(op, k)) for k in (9, 4, 8, 2, 9, 6)]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join(timeout=30)
             assert not any(t.is_alive() for t in threads)
-            assert tables(op, 9) == want
+            assert powers(op, 9) == want
     finally:
         sys.setswitchinterval(old)
 
 
 def test_range_errors():
-    for bad in (0, -2, 31):
+    build_theta(1)  # a memoized degree does not admit an equal float
+    for bad in (0, -2, 31, 1.0):
         with pytest.raises(ValueError):
             build_theta(bad)

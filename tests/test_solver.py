@@ -11,6 +11,8 @@ rule tens of ulp off gave 4.1e-9 here).  Function values are recovered
 to 6.4e-13 or better throughout.
 """
 
+from decimal import Decimal, localcontext
+from fractions import Fraction
 import hashlib
 import math
 import random
@@ -244,7 +246,7 @@ class TestAssemble:
         basis = gram_schmidt_basis(n)
         theta = build_theta(n)
         t0, t1_row = basis.projection_row(0), basis.projection_row(1)
-        v2 = theta_times(theta, [1.0] + [0.0] * n)  # the double integral of phi_0
+        v2 = [row[0] for row in theta.rows()]  # Theta e0, the double integral of phi_0
         for _ in range(5):
             a0 = rng.uniform(-10, 10)
             a1 = rng.uniform(-10, 10)
@@ -263,7 +265,7 @@ class TestAssemble:
     def test_matches_dense_construction(self):
         """Entry for entry equal to the dense construction it replaced:
         Theta^T powers by dense products, scaled and summed entrywise,
-        endpoint rows by Theta times a vector.  Covers orders 1..9,
+        endpoint rows from their closed form.  Covers orders 1..9,
         m - 1 > n, zero interior coefficients and mixed left/right
         conditions."""
         rng = random.Random(31)
@@ -301,15 +303,42 @@ class TestAssemble:
                         assert hexes(outside) == hexes([0.0] * len(outside)), (n, m, i, p.bcs)
                         assert all(v != 0.0 or math.copysign(1.0, v) > 0 for v in row)
 
+    def test_endpoint_entries_within_ulps_of_exact(self):
+        """Endpoint row d holds integral_0^1 (1-t)^k/k! phi_j, k = m-d-1,
+        which is (-1)^j sqrt(2j+1) k!/((k-j)! (k+j+1)!) for j <= k and +0.0
+        beyond: within 1.5 ulp of that value in 50-digit decimal, for every
+        n <= 30 and k <= 11."""
+        m, f = 12, math.factorial
+        bcs = [BoundaryCondition("right", d, 1.0) for d in range(m)]
+        worst = 0.0
+        for n in range(1, 31):
+            p = BvpProblem(m, [0.0] * m + [1.0], math.cos, (0.0, 1.0), bcs, n)
+            a, _ = assemble(p, legendre_basis(n), build_theta(n))
+            for d in range(m):
+                k = m - d - 1
+                for j, got in enumerate(a.row(d)[m:]):
+                    if j > k:
+                        assert hexes([got]) == hexes([0.0]), (n, k, j)
+                        continue
+                    exact = Fraction((-1) ** j * f(k), f(k - j) * f(k + j + 1))
+                    with localcontext() as ctx:
+                        ctx.prec = 50
+                        want = (Decimal(exact.numerator) / exact.denominator
+                                * Decimal(2 * j + 1).sqrt())
+                        ulps = float(abs(Decimal(got) - want) / Decimal(math.ulp(got)))
+                    assert ulps <= 1.5, (n, k, j, ulps)
+                    worst = max(worst, ulps)
+        assert worst > 0.0  # the check compared rounded values, not zeros
+
     @pytest.mark.parametrize("orders", [(9, 3), (3, 9)])
     @pytest.mark.parametrize("n", [7, 30])
     def test_memo_grows_to_any_order(self, n, orders):
-        """From an empty memo, the power and endpoint tables grown for one
-        order serve the next: every system equals the dense oracle's, signed
+        """From an empty memo, the table of powers grown for one order
+        serves the next: every system equals the dense oracle's, signed
         zeros included, whichever order comes first."""
         rng = random.Random(41 * n + orders[0])
         basis = legendre_basis(n)
-        theta = OperationalMatrix(n, build_theta(n).theta)
+        theta = OperationalMatrix(n)
         for m in orders:
             for right in (m, rng.randint(0, m)):  # all conditions right, then a mix
                 p = random_mapped_problem(rng, n, m, right=right)
@@ -320,10 +349,10 @@ class TestAssemble:
 
     def test_returned_system_shares_nothing_with_the_memo(self):
         """Mutating what assemble returns, or assembling again, changes
-        neither the memoized tables nor a later system."""
+        neither the memoized powers and projection rows nor a later system."""
         n, m = 7, 5
         basis = legendre_basis(n)
-        theta = OperationalMatrix(n, build_theta(n).theta)
+        theta = OperationalMatrix(n)
         p = random_mapped_problem(random.Random(43), n, m, right=m)
 
         def tables():
@@ -332,7 +361,7 @@ class TestAssemble:
                 rows = [[0.0] * (n + 1) for _ in range(n + 1)]
                 theta.add_transposed_power(rows, 1.0, k)
                 powers.append(rows)
-            return powers, [list(theta.endpoint(k)) for k in range(m)]
+            return powers, [basis.projection_row(k) for k in range(m)]
 
         a, b = assemble(p, basis, theta)
         before = tables()
@@ -364,16 +393,11 @@ def random_mapped_problem(rng, n, m, right=None):
     return BvpProblem(m, coeffs + [1.0], math.cos, (0.0, 1.0), bcs, n)
 
 
-def theta_times(theta, v):
-    """Theta v by sum() over each row, as Theta's endpoint memo forms it."""
-    return [sum(a * b for a, b in zip(row, v)) for row in theta.theta.to_rows()]
-
-
 def dense_assemble(p, basis, theta):
     """assemble as it stood before the banded construction (test oracle),
     permuted into the almost-banded order."""
     n, m, size = basis.n, p.order, basis.n + 1
-    tt = [list(col) for col in zip(*theta.theta.to_rows())]
+    tt = [list(col) for col in zip(*theta.rows())]
     mc = None
     power = [[1.0 if i == j else 0.0 for j in range(size)] for i in range(size)]
     for i in range(m, -1, -1):
@@ -401,9 +425,9 @@ def dense_assemble(p, basis, theta):
     rhs = rho[:]
     for bc in right:
         d = bc.derivative_order
-        w = [1.0] + [0.0] * n
-        for _ in range(m - d - 1):
-            w = theta_times(theta, w)
+        k = m - d - 1  # integral_0^1 (1-t)^k/k! phi_j = (-1)^j <t^k, phi_j>/k!
+        w = [((-v if j % 2 else v) / math.factorial(k) if v != 0.0 else 0.0)
+             for j, v in enumerate(basis.projection_row(k))]
         rows.append(w + [
             (1.0 / math.factorial(j - d) if j >= d else 0.0) for j in free
         ])
@@ -668,6 +692,27 @@ class TestSolve:
             s = solve(BvpProblem(m, coeffs, rhs, dom, bcs, n))
             bound = 1e-8 * (1.0 + max(abs(b.value) for b in bcs))
             assert s.bc_residual_max <= bound
+
+    @pytest.mark.parametrize("m", range(4, 10))
+    def test_right_conditions_hold_below_half_the_order(self, m):
+        """With n <= m/2 the row of a right condition on y^(d) integrates
+        phi_j k = m-d-1 times, past the n+1 that Theta^k e0 carries through
+        Theta's truncated last row.  The closed-form rows match the returned
+        polynomial at every n, so bc_residual_max <= 1e-10 with every
+        condition at the right end and with a mix."""
+        rng = random.Random(71 * m)
+        for n in range(1, m // 2 + 1):
+            for mixed in (False, True):
+                # each derivative order once, at least one on each side if mixed
+                left = rng.randint(1, m - 1) if mixed else 0
+                sides = ["left"] * left + ["right"] * (m - left)
+                rng.shuffle(sides)
+                coeffs = [rng.choice((0.0, rng.uniform(-3, 3))) for _ in range(m)]
+                bcs = [BoundaryCondition(side, d, rng.uniform(-2, 2))
+                       for d, side in enumerate(sides)]
+                p = BvpProblem(m, coeffs + [1.0], math.cos, (0.0, 1.0), bcs, n)
+                s = solve(p)
+                assert s.bc_residual_max <= 1e-10, (n, p.coefficients, p.bcs)
 
     def test_residual_shrinks_with_truncation(self):
         """residual_max falls (plateau tolerance 2x) along n = 6, 8, 10, 12."""
