@@ -3,8 +3,10 @@
 The projection coefficients c_k = <f, phi_k> are computed with a
 Gauss-Legendre rule whose exactness degree covers the basis; for smooth f
 over-integration makes the quadrature error negligible next to truncation.
-Rules, and the basis values at the nodes of the default rule, are memoized
-per size: both depend on the node count and the degree only.
+They come back as a tuple of floats, checked once for finiteness, so an
+overflow raises LinAlgError.  Rules, and the basis values at the nodes of
+the default rule, are memoized per size: both depend on the node count and
+the degree only.
 """
 
 from decimal import Decimal, localcontext
@@ -13,7 +15,7 @@ import math
 
 from .basis import eval_basis
 from .exprparse import ExprEvalError
-from .linalg import Vector
+from .linalg import check_finite
 from .poly import Polynomial
 
 
@@ -152,7 +154,8 @@ def project(f, basis, rule=None):
     sum_sq = 0.0
     for c in coeffs:  # a loop, not sum(), which compensates on Python >= 3.12
         sum_sq += c * c
-    return ProjectionResult(Vector._of(coeffs), math.sqrt(max(0.0, norm_sq - sum_sq)))
+    check_finite(coeffs, "vector")
+    return ProjectionResult(tuple(coeffs), math.sqrt(max(0.0, norm_sq - sum_sq)))
 
 
 def reconstruct(coeffs, basis):

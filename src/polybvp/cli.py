@@ -40,7 +40,7 @@ from .approx import gauss_legendre_rule, project, reconstruct
 from .exprparse import compile_function
 from .opmatrix import build_theta
 from .refode import reference_solution
-from .solver import BoundaryCondition, BvpProblem, solve
+from .solver import BoundaryCondition, BvpProblem, solve, uniform_grid
 
 
 def _fmt(v):
@@ -171,15 +171,6 @@ def load_problem_file(path):
     return problem, exact
 
 
-def _grid(x0, x1, points):
-    if points < 2:
-        raise ValueError("grid needs at least 2 points, got %d" % points)
-    xs = [x0 + (x1 - x0) * i / (points - 1) for i in range(points)]
-    # the last point can round one ulp past x1; the others lie a whole step below it
-    xs[-1] = min(xs[-1], x1)
-    return xs
-
-
 def _compare(xs, f, gs):
     """Rows (x, f(x), g, |f(x) - g|) over the grid xs, g from the values gs."""
     rows = []
@@ -197,7 +188,7 @@ def _write_csv(path, header, rows):
 
 def cmd_solve(args):
     problem, exact = load_problem_file(args.file)
-    xs = _grid(problem.domain[0], problem.domain[1], args.grid)
+    xs = uniform_grid(problem.domain[0], problem.domain[1], args.grid)
     sol = solve(problem)
     poly = sol.solution_poly
     print("n = %d" % problem.truncation)
@@ -312,7 +303,7 @@ def cmd_paper(args):
         os.makedirs(args.csv_dir, exist_ok=True)
     print("example  n   max_abs_error  claimed  threshold  status")
     failed = False
-    xs = _grid(0.0, 1.0, 1001)
+    xs = uniform_grid(0.0, 1.0, 1001)
     for number in numbers:
         ys = list(map(example_exact(number), xs))  # shared by both truncations
         for n, claimed, threshold in _EXAMPLES[number]["runs"]:
@@ -351,7 +342,7 @@ def cmd_approx(args):
     basis = legendre_basis(args.n)
     rule = gauss_legendre_rule(args.q) if args.q is not None else None
     result = project(f, basis, rule)
-    xs = _grid(0.0, 1.0, args.grid)
+    xs = uniform_grid(0.0, 1.0, args.grid)
     rows = _compare(xs, f, map(reconstruct(result.coeffs, basis), xs))
     for k, c in enumerate(result.coeffs):
         print("c[%d] = %s" % (k, _fmt(c)))

@@ -1,25 +1,24 @@
-"""Small dense real vectors and matrices, and one linear solver.
+"""One dense linear solver, on plain row lists.
 
 Everything in this package runs at desk scale (systems below ~40x40), so
-these are deliberately plain: row-major storage and Gaussian elimination
-with partial pivoting.  Values are immutable after construction and
-always finite.
+the solver is deliberately plain: Gaussian elimination with partial
+pivoting on a copy of the rows, then two steps of iterative refinement.
+A system is n row lists of n floats and a right-hand side of n floats.
 
-A matrix the program computes may carry row extents, one (start, end)
+The solver's assembled system comes with row extents, one (start, end)
 per row: the row is +0.0 outside columns start..end-1, no entry is -0.0,
-and the starts never decrease down the rows.  Only the solver's assembled
-system carries them, derived from its structure; every other matrix
-carries none and counts as full.  solve_linear eliminates within the
-extents.  What it skips would subtract a signed zero, so the solution is
-the dense elimination's, up to the sign of a component that is zero.
+and the starts never decrease down the rows.  They are derived from the
+system's structure, not from its values; a system given without them is
+eliminated in full.  What elimination within the extents skips would
+subtract a signed zero, so the solution is the dense elimination's, up to
+the sign of a component that is zero.
 
-Validation happens where values enter from outside the program: the
-Matrix and Vector constructors convert every entry with float() and reject
-non-finite ones.  What the package computes itself (Theta, projected
-coefficients, the solver's systems and its output) is built by `_of`,
-which takes the floats as they are and keeps a single finiteness pass, so
-an overflow still raises LinAlgError instead of reaching the elimination
-as a spurious singularity.
+Validation happens where values enter from outside the program: problems,
+boundary conditions, problem files and expressions.  What the package
+computes itself (Theta, projected coefficients, the solver's systems and
+its output) is kept in plain floats and lists.  solve_linear checks its
+operands for finiteness once, so an overflow in an assembled system raises
+LinAlgError instead of reaching the elimination as a spurious singularity.
 """
 
 import math
@@ -36,109 +35,11 @@ class SingularMatrixError(LinAlgError):
         super().__init__("matrix is singular at column %d" % column)
 
 
-def _check_finite(values, what):
+def check_finite(values, what):
+    """Raise LinAlgError naming the first non-finite entry of values."""
     if not all(map(math.isfinite, values)):
         bad = next(v for v in values if not math.isfinite(v))
         raise LinAlgError("non-finite entry %r in %s" % (bad, what))
-
-
-class Vector:
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        entries = [float(v) for v in entries]
-        if not entries:
-            raise LinAlgError("vector needs at least one entry")
-        _check_finite(entries, "vector")
-        self.entries = tuple(entries)
-
-    @classmethod
-    def _of(cls, entries):
-        """A vector over floats the program computed: checked for
-        finiteness, not converted."""
-        self = object.__new__(cls)
-        self.entries = tuple(entries)
-        _check_finite(self.entries, "vector")
-        return self
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __eq__(self, other):
-        return isinstance(other, Vector) and self.entries == other.entries
-
-    def __repr__(self):
-        return "Vector(%r)" % (list(self.entries),)
-
-
-class Matrix:
-    """Dense rows x cols matrix, entries row-major."""
-
-    __slots__ = ("rows", "cols", "entries", "extents")
-
-    def __init__(self, rows, cols, entries):
-        entries = [float(v) for v in entries]
-        if rows < 1 or cols < 1:
-            raise LinAlgError("matrix dimensions must be positive")
-        if len(entries) != rows * cols:
-            raise LinAlgError(
-                "expected %d entries for a %dx%d matrix, got %d"
-                % (rows * cols, rows, cols, len(entries))
-            )
-        _check_finite(entries, "matrix")
-        self.rows = rows
-        self.cols = cols
-        self.entries = tuple(entries)
-        self.extents = None
-
-    @classmethod
-    def _of(cls, rows, cols, entries, extents=None):
-        """A rows x cols matrix over floats the program computed, row-major:
-        checked for finiteness, not converted or reshaped, with optional
-        row extents (module docstring)."""
-        self = object.__new__(cls)
-        self.rows = rows
-        self.cols = cols
-        self.entries = tuple(entries)
-        self.extents = extents
-        _check_finite(self.entries, "matrix")
-        return self
-
-    @classmethod
-    def from_rows(cls, rows):
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        flat = []
-        for r in rows:
-            if len(r) != ncols:
-                raise LinAlgError("ragged rows in matrix literal")
-            flat.extend(r)
-        return cls(len(rows), ncols, flat)
-
-    def at(self, i, j):
-        return self.entries[i * self.cols + j]
-
-    def row(self, i):
-        return list(self.entries[i * self.cols : (i + 1) * self.cols])
-
-    def to_rows(self):
-        return [self.row(i) for i in range(self.rows)]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and (self.rows, self.cols) == (other.rows, other.cols)
-            and self.entries == other.entries
-        )
-
-    def __repr__(self):
-        return "Matrix.from_rows(%r)" % (self.to_rows(),)
 
 
 def _lu_factor(m, extents, threshold):
@@ -216,41 +117,50 @@ def _lu_solve(lu, b):
     return x
 
 
-def solve_linear(a, b):
-    """Solve a*x = b by Gaussian elimination with partial pivoting.
+def solve_linear(rows, b, extents=None):
+    """Solve A x = b, A given as n row lists, by Gaussian elimination with
+    partial pivoting; returns x as a tuple.
 
     The LU solution is polished with two steps of iterative refinement using
     compensated (exactly summed) residuals; for the small, well-conditioned
     systems produced here this brings each solution component to within a few
     ulps, which downstream polynomial reconstruction needs because basis
-    coefficients get amplified by large monomial coefficients.  Both
-    operands are finite by construction, so nothing is validated again; the
-    work runs on plain row lists, within the matrix's row extents if it
-    has them.  A residual sums its row's extent only: fsum is exact, so
-    the zero products outside it would not change its value.
+    coefficients get amplified by large monomial coefficients.  The work
+    runs on a copy of the rows, within the row extents if given (module
+    docstring), so the arguments are left unchanged.  A residual sums its
+    row's extent only: fsum is exact, so the zero products outside it would
+    not change its value.  A residual that overflows raises LinAlgError.
     """
-    if a.rows != a.cols:
-        raise LinAlgError("solve needs a square matrix, got %dx%d" % (a.rows, a.cols))
-    if a.rows != len(b):
+    n = len(rows)
+    if not n or any(len(row) != n for row in rows):
+        raise LinAlgError("solve needs a nonempty square matrix, got %d rows of lengths %s"
+                          % (n, sorted({len(row) for row in rows})))
+    if len(b) != n:
         raise LinAlgError(
-            "matrix is %dx%d but right-hand side has length %d" % (a.rows, a.cols, len(b))
+            "matrix is %dx%d but right-hand side has length %d" % (n, n, len(b))
         )
-    n = a.rows
-    flat = a.entries
-    extents = a.extents or ((0, n),) * n
+    for row in rows:
+        check_finite(row, "matrix")
+    check_finite(b, "vector")
+    extents = extents or ((0, n),) * n
     lu = _lu_factor(
-        [list(flat[i * n : (i + 1) * n]) for i in range(n)], extents,
-        1e-13 * max(map(abs, flat)),
+        [list(row) for row in rows], extents,
+        1e-13 * max(max(map(abs, row)) for row in rows),
     )
-    rows = [(flat[i * n + s : i * n + e], s, e) for i, (s, e) in enumerate(extents)]
-    rhs = b.entries
-    x = _lu_solve(lu, rhs)
+    spans = [(row[s:e], s, e) for row, (s, e) in zip(rows, extents)]
+    x = _lu_solve(lu, b)
     for _ in range(2):
-        residual = [
-            math.fsum([*map(mul, row, x[s:e]), -bi]) for (row, s, e), bi in zip(rows, rhs)
-        ]
+        try:
+            residual = [
+                math.fsum([*map(mul, row, x[s:e]), -bi]) for (row, s, e), bi in zip(spans, b)
+            ]
+        except (ValueError, OverflowError):  # inf - inf, or finite products past the range
+            residual = [math.inf]
+        if not all(map(math.isfinite, residual)):
+            raise LinAlgError("the refinement residual overflowed the double range")
         if not any(residual):
             break
         d = _lu_solve(lu, residual)
         x = [xi - di for xi, di in zip(x, d)]
-    return Vector._of(x)
+    check_finite(x, "solution")
+    return tuple(x)

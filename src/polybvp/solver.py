@@ -25,13 +25,11 @@ projection rows <x^p, phi_k> are memoized per degree, and the endpoint rows
 and the gamma columns both read those rows.  Theta is memoized too:
 build_theta keeps one OperationalMatrix per degree, which memoizes the bands
 of (Theta^T)^k.  assemble only adds a_i times those bands, with the same
-floating-point operations as the dense construction.  It builds the system
-from floats it computed, so the system is checked once for finiteness
-(Matrix._of, Vector._of) instead of being converted and validated entry by
-entry, and solve_linear validates nothing again.  The diagnostics fold
-L[y] = sum a_k y^(k) into one polynomial, so residual_max can differ from
-releases that evaluated each derivative separately; the solution itself does
-not.
+floating-point operations as the dense construction, and returns the system
+as plain row lists with the row extents its structure gives; solve_linear
+checks it once for finiteness.  The diagnostics fold L[y] = sum a_k y^(k)
+into one polynomial, so residual_max can differ from releases that
+evaluated each derivative separately; the solution itself does not.
 
 solve_paper_second_order keeps the closed-form second-order Dirichlet path
 (rank-one correction matrix L absorbing the boundary terms) as an internal
@@ -43,7 +41,7 @@ import sys
 
 from .approx import _eval_checked, project, reconstruct
 from .basis import legendre_basis
-from .linalg import Matrix, SingularMatrixError, Vector, solve_linear
+from .linalg import SingularMatrixError, solve_linear
 from .opmatrix import build_theta
 from .poly import Polynomial, compose_linear, differentiate
 
@@ -132,8 +130,9 @@ class BvpProblem:
 
 
 class BvpSolution:
-    """Solver output: basis coefficients of y^(m), integration constants,
-    the solution polynomial in the original variable, and diagnostics."""
+    """Solver output: basis coefficients c of y^(m) and integration
+    constants gammas (tuples of floats), the solution polynomial in the
+    original variable, and diagnostics."""
 
     __slots__ = (
         "c",
@@ -224,16 +223,17 @@ def _monomial_columns(p, basis):
 def assemble(p, basis, theta):
     """Joint linear system in (free gammas, C) for a monic problem on [0,1].
 
-    Returns (Matrix, Vector), in almost-banded order.  Rows: one per
+    Returns (rows, rhs, extents): the system as row lists, its right-hand
+    side, and its row extents, in almost-banded order.  Rows: one per
     right-side boundary condition (ascending derivative), then the n+1
     coefficient-matching rows.  Columns: the f free gammas ascending, then
-    C_0..C_n.  The matrix carries row extents derived from that structure,
-    not from its values: endpoint row d reaches the gammas and
-    C_0..C_min(n, m-d-1) (projection row k ends at index k); matching row k
-    reaches the gammas only for k < m (gamma_j's polynomial has degree
-    j < m) and C_max(0, k-m)..C_min(n, k+m) (the band of Theta^T's
-    powers).  The starts never decrease down the rows, and no entry is
-    -0.0, as linalg's extents require.
+    C_0..C_n.  The extents are derived from that structure, not from the
+    values: endpoint row d reaches the gammas and C_0..C_min(n, m-d-1)
+    (projection row k ends at index k); matching row k reaches the gammas
+    only for k < m (gamma_j's polynomial has degree j < m) and
+    C_max(0, k-m)..C_min(n, k+m) (the band of Theta^T's powers).  The starts
+    never decrease down the rows, and no entry is -0.0, as linalg's extents
+    require.
     """
     if p.domain != (0.0, 1.0) or p.coefficients[-1] != 1.0:
         raise ValueError("assemble expects a mapped, monic problem")
@@ -259,9 +259,7 @@ def assemble(p, basis, theta):
             for k in range(size):
                 rho[k] -= val * cols[j][k]
 
-    # The system is built from floats computed here, so Matrix._of and
-    # Vector._of only check it for finiteness once.
-    entries, extents, rhs = [], [], []
+    rows, extents, rhs = [], [], []
     # endpoint rows: y^(d)(1) = sum_{j>=d} gamma_j/(j-d)! + sum_j C_j
     # (-1)^j <t^k, phi_j>/k!, k = m-d-1 (module docstring); only nonzero
     # entries are negated, so none is -0.0
@@ -269,9 +267,10 @@ def assemble(p, basis, theta):
         d = bc.derivative_order
         k = m - d - 1
         fk = math.factorial(k)
-        entries += [(1.0 / math.factorial(j - d) if j >= d else 0.0) for j in free]
-        entries += [-v / fk if j & 1 and v else v / fk
-                    for j, v in enumerate(basis.projection_row(k))]
+        row = [(1.0 / math.factorial(j - d) if j >= d else 0.0) for j in free]
+        row += [-v / fk if j & 1 and v else v / fk
+                for j, v in enumerate(basis.projection_row(k))]
+        rows.append(row)
         extents.append((0, f + min(n, k) + 1))
         val = bc.value
         for j, gval in fixed.items():
@@ -281,12 +280,10 @@ def assemble(p, basis, theta):
 
     free_cols = [cols[j] for j in free]
     for k in range(size):
-        entries += [col[k] for col in free_cols]
-        entries += mc[k]
+        rows.append([col[k] for col in free_cols] + mc[k])
         extents.append((0 if k < m else f + k - m, f + min(n, k + m) + 1))
 
-    dim = f + size
-    return Matrix._of(dim, dim, entries, tuple(extents)), Vector._of(rhs + rho)
+    return rows, rhs + rho, extents
 
 
 def _reconstruct_mapped(c, gammas, basis, m):
@@ -297,6 +294,16 @@ def _reconstruct_mapped(c, gammas, basis, m):
     for j, g in enumerate(gammas):
         y[j] += g / math.factorial(j)
     return Polynomial(y)
+
+
+def uniform_grid(x0, x1, points):
+    """points equally spaced abscissae from x0 to x1, the last clamped at x1."""
+    if points < 2:
+        raise ValueError("grid needs at least 2 points, got %d" % points)
+    xs = [x0 + (x1 - x0) * i / (points - 1) for i in range(points)]
+    # the last point can round one ulp past x1; the others lie a whole step below it
+    xs[-1] = min(xs[-1], x1)
+    return xs
 
 
 def _diagnostics(p, solution_poly, grid=201):
@@ -312,10 +319,7 @@ def _diagnostics(p, solution_poly, grid=201):
     ly = Polynomial(ly)
     res_max = 0.0
     rhs_max = 0.0
-    for i in range(grid):
-        x = x0 + (x1 - x0) * i / (grid - 1)
-        if x > x1:  # the last point can round one ulp past x1
-            x = x1
+    for x in uniform_grid(x0, x1, grid):
         rx = _eval_checked(p.rhs, x)
         res = abs(ly(x) - rx)
         if res > res_max:
@@ -338,7 +342,7 @@ def _finish(p, mapped, c, gammas, basis):
         h = x1 - x0
         solution_poly = compose_linear(solution_poly, 1.0 / h, -x0 / h)
     res_max, bc_max, diverged = _diagnostics(p, solution_poly)
-    return BvpSolution(Vector._of(c), Vector._of(gammas), solution_poly, res_max, bc_max, diverged)
+    return BvpSolution(tuple(c), tuple(gammas), solution_poly, res_max, bc_max, diverged)
 
 
 def solve(p):
@@ -347,10 +351,10 @@ def solve(p):
     n = mapped.truncation
     basis = legendre_basis(n)
     theta = build_theta(n)
-    a, b = assemble(mapped, basis, theta)
+    rows, rhs, extents = assemble(mapped, basis, theta)
     fixed, free, _right = _gamma_split(mapped)
     try:
-        x = solve_linear(a, b)
+        x = solve_linear(rows, rhs, extents)
     except SingularMatrixError as exc:
         col = exc.column
         name = "gamma_%d" % free[col] if col < len(free) else "C_%d" % (col - len(free))
@@ -358,7 +362,6 @@ def solve(p):
             "boundary conditions leave the system singular at column %d (unknown %s)"
             % (col, name)
         ) from None
-    x = list(x)
     gammas = [0.0] * mapped.order
     for j, val in fixed.items():
         gammas[j] = val
@@ -396,17 +399,17 @@ def solve_paper_second_order(p):
     t1 = [a1 * u + a0 * v for u, v in zip(basis.projection_row(0), basis.projection_row(1))]
     tr = theta.rows()
     v2 = [row[0] for row in tr]  # Theta e0 = Theta^2 phi(1) under the endpoint identity
-    # Row-major transposed system: entry (j, i) is entry (i, j) of
+    # The transposed system: row j, column i holds entry (i, j) of
     # I + a1 Theta + a0 Theta^2 - L, where L[i][j] = v2[i] t1[j] and row i
     # of Theta^2 sums Theta[i][k] Theta[k] over the band in ascending k.
-    system = [0.0] * (size * size)
+    system = [[0.0] * size for _ in range(size)]
     for i, row in enumerate(tr):
         t2 = [0.0] * size
         for k, tik in theta.band[i]:
             for j, tkj in enumerate(tr[k]):
                 t2[j] += tik * tkj
         for j in range(size):
-            system[j * size + i] = ((1.0 if i == j else 0.0) + a1 * row[j]) + (
+            system[j][i] = ((1.0 if i == j else 0.0) + a1 * row[j]) + (
                 a0 * t2[j] + -1.0 * (v2[i] * t1[j])
             )
     rho = list(project(mapped.rhs, basis).coeffs)
@@ -415,10 +418,10 @@ def solve_paper_second_order(p):
         for k in range(size)
     ]
     try:
-        c = solve_linear(Matrix._of(size, size, system), Vector._of(r))
+        c = solve_linear(system, r)
     except SingularMatrixError as exc:
         raise IllPosedProblemError(
             "boundary conditions leave the system singular at column %d" % exc.column
         ) from None
     gamma1 = beta - alpha - sum(ck * vk for ck, vk in zip(c, v2))
-    return _finish(p, mapped, list(c), [alpha, gamma1], basis)
+    return _finish(p, mapped, c, [alpha, gamma1], basis)

@@ -227,6 +227,24 @@ def test_solve_rejects_bad_order_or_width_in_one_line(tmp_path, capsys, text, fr
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "coeffs, rhs, message",
+    [(("1.7e308", "1.7e308"), "cos(x)", "non-finite entry inf in matrix"),
+     (("1", "0"), "1.7e308", "the refinement residual overflowed the double range")],
+    ids=["system", "residual"],
+)
+def test_solve_reports_overflow_in_one_line(tmp_path, capsys, coeffs, rhs, message):
+    text = (EX1_FILE.replace("coeff[0] = 6", "coeff[0] = " + coeffs[0])
+            .replace("coeff[1] = -5", "coeff[1] = " + coeffs[1])
+            .replace("rhs = exp(-x)", "rhs = " + rhs).replace("bc = right 0 5", "bc = right 0 1")
+            .replace("exact = ", "# exact = "))
+    rc = main(["solve", write_problem(tmp_path, text)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message
+
+
 def test_bc_count_is_checked_before_the_order_sizes_anything(tmp_path, capsys):
     text = EX1_FILE.replace("order = 2", "order = 5000000").replace("bc = right 0 5\n", "")
     path = write_problem(tmp_path, text)

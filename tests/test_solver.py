@@ -23,7 +23,7 @@ import pytest
 from polybvp.approx import EvaluationError, project
 from polybvp.basis import gram_schmidt_basis, legendre_basis
 from polybvp.exprparse import ExprEvalError, compile_function
-from polybvp.linalg import LinAlgError, Matrix, SingularMatrixError, Vector, solve_linear
+from polybvp.linalg import LinAlgError, SingularMatrixError, solve_linear
 from polybvp.opmatrix import OperationalMatrix, build_theta
 from polybvp.poly import Polynomial, differentiate, eval_poly
 from polybvp.solver import (
@@ -226,9 +226,10 @@ class TestAssemble:
 
     def test_system_is_square_with_free_constants(self):
         p = ex1_problem(6)  # one left BC fixes gamma_0; gamma_1 stays free
-        a, b = assemble(p, gram_schmidt_basis(6), build_theta(6))
-        assert a.rows == a.cols == 8  # (n+1) matching rows + 1 right-BC row
-        assert len(b) == 8
+        rows, b, extents = assemble(p, gram_schmidt_basis(6), build_theta(6))
+        # (n+1) matching rows + 1 right-BC row
+        assert [len(row) for row in rows] == [8] * 8
+        assert len(b) == len(extents) == 8
 
     def test_zero_data_gives_zero_solution(self):
         p = BvpProblem(2, (1.0, -2.0, 1.0), lambda x: 0.0, (0.0, 1.0),
@@ -275,7 +276,7 @@ class TestAssemble:
             for m in range(1, 10):
                 for _ in range(2):
                     p = random_mapped_problem(rng, n, m)
-                    a, b = assemble(p, basis, theta)
+                    a, b, _ = assemble(p, basis, theta)
                     want_a, want_b = dense_assemble(p, basis, theta)
                     assert a == want_a, (n, m, p.coefficients, p.bcs)
                     assert b == want_b, (n, m, p.coefficients, p.bcs)
@@ -292,13 +293,13 @@ class TestAssemble:
             for m in range(1, 10):
                 for right in (m, None, 0):
                     p = random_mapped_problem(rng, n, m, right=right)
-                    a, _ = assemble(p, basis, theta)
-                    assert a.extents is not None and len(a.extents) == a.rows
-                    starts = [s for s, _ in a.extents]
+                    a, _, extents = assemble(p, basis, theta)
+                    assert len(extents) == len(a)
+                    starts = [s for s, _ in extents]
                     assert starts == sorted(starts), (n, m, p.bcs)
-                    for i, (s, e) in enumerate(a.extents):
-                        assert 0 <= s < e <= a.cols, (n, m, i)
-                        row = a.row(i)
+                    for i, (s, e) in enumerate(extents):
+                        assert 0 <= s < e <= len(a), (n, m, i)
+                        row = a[i]
                         outside = row[:s] + row[e:]
                         assert hexes(outside) == hexes([0.0] * len(outside)), (n, m, i, p.bcs)
                         assert all(v != 0.0 or math.copysign(1.0, v) > 0 for v in row)
@@ -313,10 +314,10 @@ class TestAssemble:
         worst = 0.0
         for n in range(1, 31):
             p = BvpProblem(m, [0.0] * m + [1.0], math.cos, (0.0, 1.0), bcs, n)
-            a, _ = assemble(p, legendre_basis(n), build_theta(n))
+            a, _, _ = assemble(p, legendre_basis(n), build_theta(n))
             for d in range(m):
                 k = m - d - 1
-                for j, got in enumerate(a.row(d)[m:]):
+                for j, got in enumerate(a[d][m:]):
                     if j > k:
                         assert hexes([got]) == hexes([0.0]), (n, k, j)
                         continue
@@ -342,9 +343,9 @@ class TestAssemble:
         for m in orders:
             for right in (m, rng.randint(0, m)):  # all conditions right, then a mix
                 p = random_mapped_problem(rng, n, m, right=right)
-                a, b = assemble(p, basis, theta)
+                a, b, _ = assemble(p, basis, theta)
                 want_a, want_b = dense_assemble(p, basis, theta)
-                assert hexes(a.entries) == hexes(want_a.entries), (m, p.bcs)
+                assert list(map(hexes, a)) == list(map(hexes, want_a)), (m, p.bcs)
                 assert hexes(b) == hexes(want_b), (m, p.bcs)
 
     def test_returned_system_shares_nothing_with_the_memo(self):
@@ -363,17 +364,15 @@ class TestAssemble:
                 powers.append(rows)
             return powers, [basis.projection_row(k) for k in range(m)]
 
-        a, b = assemble(p, basis, theta)
+        a, b, _ = assemble(p, basis, theta)
         before = tables()
-        assert isinstance(a.entries, tuple) and isinstance(b.entries, tuple)
-        rows = a.to_rows()
-        for row in rows:
+        kept = [hexes(row) for row in a], hexes(b)
+        for row in a:
             row[:] = [7.0] * len(row)
-        again_a, again_b = assemble(p, basis, theta)
+        b[:] = [7.0] * len(b)
+        again_a, again_b, _ = assemble(p, basis, theta)
         assert tables() == before
-        assert hexes(again_a.entries) == hexes(a.entries)
-        assert hexes(again_b) == hexes(b)
-        assert rows != a.to_rows()
+        assert ([hexes(row) for row in again_a], hexes(again_b)) == kept
 
 
 def hexes(values):
@@ -439,7 +438,7 @@ def dense_assemble(p, basis, theta):
     # assemble's almost-banded order: endpoint rows and gamma columns first
     order = list(range(size, len(rows))) + list(range(size))
     rows = [rows[i][size:] + rows[i][:size] for i in order]
-    return Matrix.from_rows(rows), Vector([rhs[i] for i in order])
+    return rows, [rhs[i] for i in order]
 
 
 # ------------------------------------------------- solve_linear on systems
@@ -456,40 +455,40 @@ class TestSolveLinearOnAssembledSystems:
             for m in range(1, 10):
                 for _ in range(3):
                     p = random_mapped_problem(rng, n, m)
-                    a, b = assemble(p, basis, theta)
-                    assert outcome(solve_linear, a, b) == outcome(entrywise_solve_linear, a, b), (
-                        n, m, p.coefficients, p.bcs)
+                    a, b, extents = assemble(p, basis, theta)
+                    assert outcome(solve_linear, a, b, extents) == outcome(
+                        entrywise_solve_linear, a, b), (n, m, p.coefficients, p.bcs)
 
     def test_matches_previous_elimination_on_ties_and_signed_zeros(self):
         """Pivot ties go to the first candidate row, and a zero component
         keeps its sign ([0, -0] below, where forward substitution skips the
         zero x_0), as in the elimination it replaced."""
         rng = random.Random(53)
-        cases = [(Matrix.from_rows([[2.0, 1.0], [-1.0, 3.0]]), Vector([0.0, -0.0]))]
+        cases = [([[2.0, 1.0], [-1.0, 3.0]], [0.0, -0.0])]
         for n in (3, 5, 8):
             rows = [[rng.choice((1.0, -1.0))] + [rng.uniform(-1, 1) for _ in range(n - 1)]
                     for _ in range(n)]
-            cases.append((Matrix.from_rows(rows), Vector([rng.uniform(-1, 1) for _ in range(n)])))
+            cases.append((rows, [rng.uniform(-1, 1) for _ in range(n)]))
         for a, b in cases:
             assert outcome(solve_linear, a, b) == outcome(entrywise_solve_linear, a, b), a
         assert hexes(solve_linear(*cases[0])) == hexes([0.0, -0.0])
 
 
-def outcome(solver, a, b):
+def outcome(solver, *system):
     try:
-        return hexes(solver(a, b))
+        return hexes(solver(*system))
     except SingularMatrixError as exc:
         return ("singular", exc.column)
 
 
 def entrywise_solve_linear(a, b):
-    """solve_linear as it stood before it ran on row lists (test oracle):
-    entry access through Matrix.at, pivot by max(key=...), the same two
-    refinement steps."""
-    n = a.rows
-    m = [a.row(i) for i in range(n)]
+    """solve_linear as it stood before it worked within row extents (test
+    oracle): full rows, pivot by max(key=...), the same two refinement
+    steps, residuals summed over every column."""
+    n = len(a)
+    m = [list(row) for row in a]
     perm = list(range(n))
-    threshold = 1e-13 * max(abs(v) for v in a.entries)
+    threshold = 1e-13 * max(abs(v) for row in a for v in row)
     for col in range(n):
         piv = max(range(col, n), key=lambda r: abs(m[r][col]))
         pval = m[piv][col]
@@ -523,10 +522,10 @@ def entrywise_solve_linear(a, b):
             x[col] = s / row[col]
         return x
 
-    x = lu_solve(list(b.entries))
+    x = lu_solve(list(b))
     for _ in range(2):
         residual = [
-            math.fsum([a.at(i, j) * x[j] for j in range(n)] + [-b[i]])
+            math.fsum([a[i][j] * x[j] for j in range(n)] + [-b[i]])
             for i in range(n)
         ]
         if all(v == 0.0 for v in residual):
@@ -667,9 +666,18 @@ class TestSolve:
     def test_overflowing_system_is_reported_as_non_finite(self):
         # the coefficients are finite but the assembled system overflows;
         # that must not surface as a singular (ill-posed) system
-        p = BvpProblem(2, (1.7e308, 1.7e308, 1.0), lambda x: 1.0, (0.0, 1.0),
-                       dirichlet(0.0, 1.0), 8)
-        with pytest.raises(LinAlgError, match="^non-finite entry inf in matrix$"):
+        for rhs, n in ((lambda x: 1.0, 8), (math.cos, 7)):
+            p = BvpProblem(2, (1.7e308, 1.7e308, 1.0), rhs, (0.0, 1.0),
+                           dirichlet(0.0, 1.0), n)
+            with pytest.raises(LinAlgError, match="^non-finite entry inf in matrix$"):
+                solve(p)
+
+    def test_overflowing_refinement_residual_is_a_linalg_error(self):
+        # the system and its solution are finite, but the products in the
+        # refinement residual overflow to inf and -inf
+        p = BvpProblem(2, (1.0, 0.0, 1.0), lambda x: 1.7e308, (0.0, 1.0),
+                       dirichlet(0.0, 1.0), 7)
+        with pytest.raises(LinAlgError, match="residual overflowed"):
             solve(p)
 
     def test_boundary_conditions_satisfied_across_domains(self):
