@@ -39,6 +39,7 @@ from .basis import gram_schmidt_basis, legendre_basis
 from .approx import gauss_legendre_rule, project, reconstruct
 from .exprparse import compile_function
 from .opmatrix import build_theta
+from .poly import eval_grid
 from .refode import reference_solution
 from .solver import BoundaryCondition, BvpProblem, solve, uniform_grid
 
@@ -171,13 +172,9 @@ def load_problem_file(path):
     return problem, exact
 
 
-def _compare(xs, f, gs):
-    """Rows (x, f(x), g, |f(x) - g|) over the grid xs, g from the values gs."""
-    rows = []
-    for x, gx in zip(xs, gs):
-        fx = f(x)
-        rows.append((x, fx, gx, abs(fx - gx)))
-    return rows
+def _compare(xs, fs, gs):
+    """Rows (x, f, g, |f - g|) over the grid xs, f and g from the values fs, gs."""
+    return [(x, fx, gx, abs(fx - gx)) for x, fx, gx in zip(xs, fs, gs)]
 
 
 def _write_csv(path, header, rows):
@@ -200,13 +197,13 @@ def cmd_solve(args):
     if sol.diverged:
         print("warning = residual indicates divergence at this truncation")
     if exact is not None:
-        rows = _compare(xs, poly, map(exact, xs))
+        rows = _compare(xs, eval_grid(poly, xs), map(exact, xs))
         print("max_abs_error = %s" % _fmt(max(r[3] for r in rows)))
     if args.csv:
         if exact is not None:
             _write_csv(args.csv, ["x", "y_approx", "y_exact", "abs_err"], rows)
         else:
-            _write_csv(args.csv, ["x", "y_approx"], [(x, poly(x)) for x in xs])
+            _write_csv(args.csv, ["x", "y_approx"], zip(xs, eval_grid(poly, xs)))
     return 0
 
 
@@ -308,7 +305,7 @@ def cmd_paper(args):
         ys = list(map(example_exact(number), xs))  # shared by both truncations
         for n, claimed, threshold in _EXAMPLES[number]["runs"]:
             poly = solve(example_problem(number, n)).solution_poly
-            rows = _compare(xs, poly, ys)
+            rows = _compare(xs, eval_grid(poly, xs), ys)
             err = max(r[3] for r in rows)
             ok = err <= threshold
             failed = failed or not ok
@@ -343,7 +340,7 @@ def cmd_approx(args):
     rule = gauss_legendre_rule(args.q) if args.q is not None else None
     result = project(f, basis, rule)
     xs = uniform_grid(0.0, 1.0, args.grid)
-    rows = _compare(xs, f, map(reconstruct(result.coeffs, basis), xs))
+    rows = _compare(xs, map(f, xs), eval_grid(reconstruct(result.coeffs, basis), xs))
     for k, c in enumerate(result.coeffs):
         print("c[%d] = %s" % (k, _fmt(c)))
     print("l2_error_estimate = %s" % _fmt(result.l2_error_estimate))

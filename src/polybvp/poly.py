@@ -36,9 +36,6 @@ class Polynomial:
     def degree(self):
         return len(self.coeffs) - 1
 
-    def __call__(self, x):
-        return eval_poly(self, x)
-
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs
 
@@ -55,6 +52,22 @@ def eval_poly(p, x):
     for c in reversed(p.coeffs[:-1]):
         acc = acc * x + c
     return acc
+
+
+Polynomial.__call__ = eval_poly
+
+
+def eval_grid(p, xs):
+    """[p(x) for x in xs] by the multiply-adds of eval_poly, so with the same
+    bits; the coefficients are reversed once per grid, not once per point."""
+    lead, *rest = reversed(p.coeffs)
+    out = []
+    for x in xs:
+        acc = lead
+        for c in rest:
+            acc = acc * x + c
+        out.append(acc)
+    return out
 
 
 def differentiate(p):

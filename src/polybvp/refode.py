@@ -24,14 +24,17 @@ def reference_solution(q=16):
     """x -> y(x) on [0, 1] as x * sum_j w_j G(x (1 - t_j)) tan(x t_j) over
     the q-point rule; q = 16 agrees with q = 32 to round-off."""
     rule = gauss_legendre_rule(q)
+    terms = [(t, w, 1.0 - t) for t, w in zip(rule.nodes, rule.weights)]
+    # bound per reference, not at import, so a patched math.tan still applies
+    exp, tan = math.exp, math.tan
 
     def y(x):
         if not 0.0 <= x <= 1.0:
             raise ValueError("point %.17g outside the example-3 domain [0, 1]" % (x,))
         acc = 0.0
-        for t, w in zip(rule.nodes, rule.weights):
-            u = x * (1.0 - t)
-            acc += w * (math.exp(_R1 * u) - math.exp(_R2 * u)) * math.tan(x * t)
+        for t, w, s in terms:
+            u = x * s
+            acc += w * (exp(_R1 * u) - exp(_R2 * u)) * tan(x * t)
         return x * acc / (_R1 - _R2)
 
     return y

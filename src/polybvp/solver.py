@@ -28,8 +28,9 @@ of (Theta^T)^k.  assemble only adds a_i times those bands, with the same
 floating-point operations as the dense construction, and returns the system
 as plain row lists with the row extents its structure gives; solve_linear
 checks it once for finiteness.  The diagnostics fold L[y] = sum a_k y^(k)
-into one polynomial, so residual_max can differ from releases that
-evaluated each derivative separately; the solution itself does not.
+into one polynomial and evaluate it over the whole grid by one Horner pass
+(eval_grid), so residual_max can differ from releases that evaluated each
+derivative separately; the solution itself does not.
 
 solve_paper_second_order keeps the closed-form second-order Dirichlet path
 (rank-one correction matrix L absorbing the boundary terms) as an internal
@@ -43,7 +44,7 @@ from .approx import _eval_checked, project, reconstruct
 from .basis import legendre_basis
 from .linalg import SingularMatrixError, solve_linear
 from .opmatrix import build_theta
-from .poly import Polynomial, compose_linear, differentiate
+from .poly import Polynomial, compose_linear, differentiate, eval_grid
 
 _SIDES = ("left", "right")
 
@@ -316,12 +317,12 @@ def _diagnostics(p, solution_poly, grid=201):
     for a, d in zip(p.coefficients, derivs):
         for j, v in enumerate(d.coeffs):
             ly[j] += a * v
-    ly = Polynomial(ly)
+    xs = uniform_grid(x0, x1, grid)
     res_max = 0.0
     rhs_max = 0.0
-    for x in uniform_grid(x0, x1, grid):
+    for x, lx in zip(xs, eval_grid(Polynomial(ly), xs)):
         rx = _eval_checked(p.rhs, x)
-        res = abs(ly(x) - rx)
+        res = abs(lx - rx)
         if res > res_max:
             res_max = res
         if abs(rx) > rhs_max:

@@ -418,6 +418,32 @@ def test_approx_rejects_a_grid_below_two_points(tmp_path, capsys, points):
 
 # ----------------------------------------------------------- pinned dumps
 
+# A third-order problem on a mapped domain with no exact key, so its CSV has
+# only x,y_approx rows.
+MAPPED_FILE = """\
+order = 3
+interval = -0.5 2
+coeff[0] = 2
+coeff[1] = -1
+coeff[2] = 0.5
+rhs = sin(3*x) + x^2
+bc = left 0 1
+bc = left 1 0
+bc = right 0 -0.25
+n = 12
+"""
+
+PROBLEM_FILES = {"ex1.txt": EX1_FILE, "mapped.txt": MAPPED_FILE}
+
+
+def problem_args(tmp_path, argv):
+    """argv with each problem-file name written to disk and replaced by its path."""
+    return [
+        write_problem(tmp_path, PROBLEM_FILES[a], a) if a in PROBLEM_FILES else a
+        for a in argv
+    ]
+
+
 # sha256 of the stdout of each command.  The basis, Theta and projection
 # code behind these dumps, and the solver and example-3 reference behind
 # the paper table, must keep every printed digit.
@@ -432,22 +458,27 @@ DUMP_SHA256 = {
         "4e359699aef48f830d69b4012d66b56e487486717dc6bbd82c091a59b9c784c2",
     ("paper", "--example", "all"):
         "8c4418ca0aefc15265daf3ac232655403e3667d931c874156dcd44f920173075",
+    # residual_max, bc_residual_max and max_abs_error to 17 digits
+    ("solve", "ex1.txt", "--grid", "101"):
+        "ff10f0f334aad687212909dca6c2861ea226c04000f0d46127d25236c2cae8f5",
 }
 
 
 @pytest.mark.parametrize("argv", sorted(DUMP_SHA256), ids=" ".join)
-def test_dumps_are_byte_identical(argv, capsys):
-    rc = main(list(argv))
+def test_dumps_are_byte_identical(argv, tmp_path, capsys):
+    rc = main(problem_args(tmp_path, argv))
     captured = capsys.readouterr()
     assert rc == 0
     assert hashlib.sha256(captured.out.encode()).hexdigest() == DUMP_SHA256[argv]
 
 
-# sha256 of the CSV that `solve --csv` (with an exact solution) and
-# `approx --csv` write; "ex1.txt" stands for EX1_FILE written to disk.
+# sha256 of the CSV that `solve --csv` (with and without an exact solution)
+# and `approx --csv` write.
 CSV_SHA256 = {
     ("solve", "ex1.txt", "--grid", "101"):
         "69010c5aabbcfdfbe5dd4f82664329496fda0c391af2713d65603f3e63746749",
+    ("solve", "mapped.txt", "--grid", "101"):
+        "de2045aea6743abf14ba3ad0064891f8260763b49c43e0531cb3c4e8416cdc3f",
     ("approx", "exp(-x)*sin(3*x)", "--n", "10"):
         "866aa759c9847aecbede01617d366b25e9e0e812281b7a3db2dced65dc413d36",
 }
@@ -456,8 +487,7 @@ CSV_SHA256 = {
 @pytest.mark.parametrize("argv", sorted(CSV_SHA256), ids=" ".join)
 def test_csv_files_are_byte_identical(argv, tmp_path, capsys):
     out = tmp_path / "out.csv"
-    args = [write_problem(tmp_path, EX1_FILE) if a == "ex1.txt" else a for a in argv]
-    assert main(args + ["--csv", str(out)]) == 0
+    assert main(problem_args(tmp_path, argv) + ["--csv", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CSV_SHA256[argv]
 

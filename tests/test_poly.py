@@ -18,6 +18,7 @@ from polybvp.poly import (
     bernoulli_polynomial,
     compose_linear,
     differentiate,
+    eval_grid,
     eval_poly,
 )
 
@@ -143,3 +144,55 @@ def test_compose_linear_is_substitution():
     for x in (-0.5, 0.0, 0.3, 1.7):
         assert eval_poly(q, x) == pytest.approx(eval_poly(p, 2.0 * x - 1.0), rel=1e-14)
 
+
+
+def bits(v):
+    """A float by its hex digits; an int or Fraction by its type and value."""
+    return v.hex() if isinstance(v, float) else (type(v), v)
+
+
+GRIDS = (
+    [-2.5, -1.0, -0.3, -0.0, 0.0, 1e-300, 0.5, 1.0, 1.0 + 2**-52, 3.75, 41.0],
+    [i / 7 - 1.5 for i in range(29)],
+)
+
+
+def test_eval_grid_matches_eval_poly_bit_for_bit():
+    """Seeded float polynomials of degree 0..39 on grids with negative, zero
+    and > 1 abscissae."""
+    rng = random.Random(20150)
+    polys = [Polynomial([0.0])]
+    for degree in range(40):
+        scale = 10.0 ** rng.randint(-8, 8)
+        polys.append(Polynomial([rng.uniform(-scale, scale) for _ in range(degree + 1)]))
+    for p in polys:
+        for xs in GRIDS:
+            got = eval_grid(p, xs)
+            assert [bits(v) for v in got] == [bits(eval_poly(p, x)) for x in xs]
+
+
+def test_eval_grid_on_exact_coefficients():
+    """int and Fraction coefficients stay exact on exact grids, and round as
+    eval_poly rounds on float grids."""
+    rng = random.Random(20151)
+    exact_grid = [-3, Fraction(-1, 3), 0, Fraction(1, 2), 1, Fraction(7, 4), 5]
+    for degree in range(12):
+        ints = Polynomial([rng.randint(-50, 50) for _ in range(degree + 1)])
+        fracs = Polynomial(
+            [Fraction(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(degree + 1)]
+        )
+        for p in (ints, fracs, bernoulli_polynomial(degree)):
+            for xs in (exact_grid,) + GRIDS:
+                got = eval_grid(p, xs)
+                assert [bits(v) for v in got] == [bits(eval_poly(p, x)) for x in xs]
+
+
+def test_eval_grid_empty_grid():
+    assert eval_grid(Polynomial([1.0, 2.0]), []) == []
+    assert eval_grid(Polynomial([0]), ()) == []
+
+
+def test_call_is_eval_poly():
+    p = Polynomial([0.1, -0.7, 0.3])
+    assert Polynomial.__call__ is eval_poly
+    assert [bits(p(x)) for x in GRIDS[1]] == [bits(eval_poly(p, x)) for x in GRIDS[1]]
