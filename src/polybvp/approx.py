@@ -4,16 +4,16 @@ The projection coefficients c_k = <f, phi_k> are computed with a
 Gauss-Legendre rule whose exactness degree covers the basis; for smooth f
 over-integration makes the quadrature error negligible next to truncation.
 They come back as a tuple of floats, checked once for finiteness, so an
-overflow raises LinAlgError.  Rules, and the basis values at the nodes of
-the default rule, are memoized per size: both depend on the node count and
-the degree only.
+overflow raises LinAlgError.  The rules and the node tables (nodes, weights
+and basis values) depend on the node count q and the degree n only, and are
+memoized by lru_cache per q and per (n, q).
 """
 
 from decimal import Decimal, localcontext
 from functools import lru_cache
 import math
 
-from .basis import eval_basis
+from .basis import eval_basis, legendre_basis
 from .exprparse import ExprEvalError
 from .linalg import check_finite
 from .poly import Polynomial
@@ -110,40 +110,28 @@ def _eval_checked(f, x):
     return v
 
 
-_default_tables = {}
+@lru_cache(maxsize=None, typed=True)
+def _node_table(n, q):
+    """(node, weight, phi values) of the q-point rule for degree n, memoized
+    per (n, q).  The phi values come from the recurrence and depend on n
+    alone, so one table serves every basis of that degree.  A q outside
+    gauss_legendre_rule's range, or one not exact to degree 2n, raises
+    ValueError, in that order."""
+    rule = gauss_legendre_rule(q)
+    if 2 * q - 1 < 2 * n:
+        raise ValueError("rule with %d nodes is not exact to degree %d" % (q, 2 * n))
+    basis = legendre_basis(n)
+    return tuple((x, w, eval_basis(basis, x)) for x, w in zip(rule.nodes, rule.weights))
 
 
-def _default_node_table(basis):
-    """(node, weight, phi values) of the default rule for degree basis.n.
-
-    The phi values come from the recurrence and depend on n alone, so one
-    table serves every basis of that degree; n <= 30 bounds the cache.
-    """
-    table = _default_tables.get(basis.n)
-    if table is None:
-        rule = gauss_legendre_rule(max(basis.n + 1, 32))
-        table = _default_tables[basis.n] = tuple(
-            (x, w, eval_basis(basis, x)) for x, w in zip(rule.nodes, rule.weights)
-        )
-    return table
-
-
-def project(f, basis, rule=None):
+def project(f, basis, q=None):
     """Best-approximation coefficients of f in the basis, by quadrature.
 
-    The rule must integrate degree 2n exactly; the default uses
-    max(n+1, 32) points.  The l2_error_estimate is the Parseval remainder
-    sqrt(|f|^2 - sum c_k^2), clamped at zero.
+    The q-point Gauss-Legendre rule must integrate degree 2n exactly; the
+    default uses max(n+1, 32) points.  The l2_error_estimate is the
+    Parseval remainder sqrt(|f|^2 - sum c_k^2), clamped at zero.
     """
-    if rule is None:
-        table = _default_node_table(basis)
-    elif 2 * len(rule.nodes) - 1 < 2 * basis.n:
-        raise ValueError(
-            "rule with %d nodes is not exact to degree %d"
-            % (len(rule.nodes), 2 * basis.n)
-        )
-    else:
-        table = [(x, w, eval_basis(basis, x)) for x, w in zip(rule.nodes, rule.weights)]
+    table = _node_table(basis.n, max(basis.n + 1, 32) if q is None else q)
     coeffs = [0.0] * (basis.n + 1)
     norm_sq = 0.0
     for x, w, phix in table:

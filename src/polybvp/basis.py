@@ -11,16 +11,16 @@ route, carried in exact rational arithmetic, and stays as the faithful
 construction and test oracle.  legendre_basis writes the skeleton down from
 its closed form in integers, and is what the solver uses.  The float views
 of the two agree bit for bit: each coefficient is the square root of the
-exact c*c*scale_sq, converted to float with one correct rounding.
+exact c*c*scale_sq, converted to float with one correct rounding.  Both
+bases are memoized per degree, and the float projection rows <x^p, phi_k>
+per (n, p), by lru_cache.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 import math
 
-from .poly import Polynomial, bernoulli_polynomial
-
-MAX_DEGREE = 30
+from .poly import MAX_DEGREE, Polynomial, bernoulli_polynomial
 
 
 class BasisConstructionError(ValueError):
@@ -65,7 +65,7 @@ class OrthonormalBasis:
     x^p = sum_k <x^p, phi_k> phi_k.
     """
 
-    __slots__ = ("n", "phis", "integer_coeffs", "scale_sq", "_float_rows")
+    __slots__ = ("n", "phis", "integer_coeffs", "scale_sq")
 
     def __init__(self, ivecs, scales):
         self.n = len(ivecs) - 1
@@ -75,26 +75,27 @@ class OrthonormalBasis:
             Polynomial([_radical_float(c, s) for c in vec])
             for vec, s in zip(self.integer_coeffs, self.scale_sq)
         ]
-        self._float_rows = {}
 
     def projection_row(self, p):
-        """Floats <x^p, phi_k> as a tuple, memoized per p.
+        """Floats <x^p, phi_k>, k = 0..n, as a tuple (_projection_row)."""
+        return _projection_row(self.n, p)
 
-        With phi_k = sqrt(2k+1) P_k for the shifted Legendre P_k,
-        <x^p, P_k> = p!^2 / ((p-k)! (p+k+1)!) for k <= p and 0 beyond.  Each
-        float is the square root of the exact square
-        p!^4 (2k+1) / ((p-k)! (p+k+1)!)^2, rounded once by int/int division.
-        """
-        row = self._float_rows.get(p)
-        if row is None:
-            f = math.factorial
-            num = f(p) ** 4
-            row = self._float_rows[p] = tuple(
-                math.sqrt(num * (2 * k + 1) / (f(p - k) * f(p + k + 1)) ** 2)
-                if k <= p else 0.0
-                for k in range(self.n + 1)
-            )
-        return row
+
+@lru_cache(maxsize=None)
+def _projection_row(n, p):
+    """Floats <x^p, phi_k>, k = 0..n, memoized per (n, p).
+
+    With phi_k = sqrt(2k+1) P_k for the shifted Legendre P_k,
+    <x^p, P_k> = p!^2 / ((p-k)! (p+k+1)!) for k <= p and 0 beyond.  Each
+    float is the square root of the exact square
+    p!^4 (2k+1) / ((p-k)! (p+k+1)!)^2, rounded once by int/int division.
+    """
+    f = math.factorial
+    num = f(p) ** 4
+    return tuple(
+        math.sqrt(num * (2 * k + 1) / (f(p - k) * f(p + k + 1)) ** 2) if k <= p else 0.0
+        for k in range(n + 1)
+    )
 
 
 def _check_degree(n):

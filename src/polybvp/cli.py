@@ -36,7 +36,7 @@ import re
 import sys
 
 from .basis import gram_schmidt_basis, legendre_basis
-from .approx import gauss_legendre_rule, project, reconstruct
+from .approx import project, reconstruct
 from .exprparse import compile_function
 from .opmatrix import build_theta
 from .poly import eval_grid
@@ -337,8 +337,7 @@ def cmd_opmatrix(args):
 def cmd_approx(args):
     f = compile_function(args.expr)
     basis = legendre_basis(args.n)
-    rule = gauss_legendre_rule(args.q) if args.q is not None else None
-    result = project(f, basis, rule)
+    result = project(f, basis, args.q)
     xs = uniform_grid(0.0, 1.0, args.grid)
     rows = _compare(xs, map(f, xs), eval_grid(reconstruct(result.coeffs, basis), xs))
     for k, c in enumerate(result.coeffs):

@@ -11,8 +11,9 @@ from fractions import Fraction
 from functools import lru_cache
 import math
 
-# The largest basis degree; nothing downstream needs more.
-MAX_BERNOULLI = 30
+# The largest basis degree: of the Bernoulli polynomials, the bases, Theta
+# and a problem's truncation alike.
+MAX_DEGREE = 30
 
 
 class Polynomial:
@@ -113,8 +114,8 @@ def _bernoulli_polynomial_exact(n):
 
 def bernoulli_polynomial(n):
     """The degree-n Bernoulli polynomial with exact Fraction coefficients."""
-    if not isinstance(n, int) or not 0 <= n <= MAX_BERNOULLI:
+    if not isinstance(n, int) or not 0 <= n <= MAX_DEGREE:
         raise ValueError(
-            "Bernoulli index %r outside supported range 0..%d" % (n, MAX_BERNOULLI)
+            "Bernoulli index %r outside supported range 0..%d" % (n, MAX_DEGREE)
         )
     return _bernoulli_polynomial_exact(n)

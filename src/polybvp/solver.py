@@ -20,33 +20,39 @@ returned polynomial.
 The basis comes from the closed form of the shifted Legendre polynomials
 (legendre_basis), whose float view is bit-identical to the paper's
 Gram-Schmidt construction; Gram-Schmidt stays as the paper's route and the
-test oracle.  Quadrature rules, default-rule node tables and float
-projection rows <x^p, phi_k> are memoized per degree, and the endpoint rows
-and the gamma columns both read those rows.  Theta is memoized too:
-build_theta keeps one OperationalMatrix per degree, which memoizes the bands
-of (Theta^T)^k.  assemble only adds a_i times those bands, with the same
-floating-point operations as the dense construction, and returns the system
-as plain row lists with the row extents its structure gives; solve_linear
-checks it once for finiteness.  The diagnostics fold L[y] = sum a_k y^(k)
-into one polynomial and evaluate it over the whole grid by one Horner pass
-(eval_grid), so residual_max can differ from releases that evaluated each
-derivative separately; the solution itself does not.
+test oracle.  Everything that depends on the degree alone is memoized by
+lru_cache on integer keys: the quadrature node tables, the float projection
+rows <x^p, phi_k> (which the endpoint rows and the gamma columns both read),
+Theta and the bands of (Theta^T)^k.  assemble only adds a_i times those
+bands, with the same floating-point operations as the dense construction,
+and returns the system as plain row lists with the row extents its
+structure gives; solve_linear checks it once for finiteness.  The
+diagnostics fold L[y] = sum a_k y^(k) into one polynomial and evaluate it
+over the whole 201-point grid by one Horner pass (eval_grid), so
+residual_max can differ from releases that evaluated each derivative
+separately; the solution itself does not.
 
 solve_paper_second_order keeps the closed-form second-order Dirichlet path
 (rank-one correction matrix L absorbing the boundary terms) as an internal
 oracle for the general assembly.
 """
 
+import itertools
 import math
+import operator
 import sys
 
-from .approx import _eval_checked, project, reconstruct
+from .approx import EvaluationError, _eval_checked, project, reconstruct
 from .basis import legendre_basis
 from .linalg import SingularMatrixError, solve_linear
 from .opmatrix import build_theta
-from .poly import Polynomial, compose_linear, differentiate, eval_grid
+from .poly import MAX_DEGREE, Polynomial, compose_linear, differentiate, eval_grid
 
 _SIDES = ("left", "right")
+# The endpoint rows divide by (m-1)!: orders end at the first k whose k! is past a double
+MAX_ORDER = next(k for k, f in enumerate(itertools.accumulate(itertools.count(1), operator.mul), 1)
+                 if f > sys.float_info.max)
+_DIAGNOSTIC_GRID = 201
 
 
 class IllPosedProblemError(ValueError):
@@ -88,8 +94,8 @@ class BvpProblem:
     __slots__ = ("order", "coefficients", "rhs", "domain", "bcs", "truncation")
 
     def __init__(self, order, coefficients, rhs, domain, bcs, truncation):
-        if not isinstance(order, int) or order < 1:
-            raise ValueError("problem order must be a positive integer")
+        if not isinstance(order, int) or not 1 <= order <= MAX_ORDER:
+            raise ValueError("problem order %r outside supported range 1..%d" % (order, MAX_ORDER))
         coefficients = [float(c) for c in coefficients]
         if len(coefficients) != order + 1:
             raise ValueError(
@@ -120,8 +126,10 @@ class BvpProblem:
             if key in seen:
                 raise ValueError("duplicate boundary condition %s/%d" % key)
             seen.add(key)
-        if not isinstance(truncation, int) or not 1 <= truncation <= 30:
-            raise ValueError("truncation degree %r outside supported range 1..30" % (truncation,))
+        if not isinstance(truncation, int) or not 1 <= truncation <= MAX_DEGREE:
+            raise ValueError(
+                "truncation degree %r outside supported range 1..%d" % (truncation, MAX_DEGREE)
+            )
         self.order = order
         self.coefficients = tuple(coefficients)
         self.rhs = rhs
@@ -180,10 +188,13 @@ def map_domain(p):
             "interval width %r is out of double range for an order-%d problem" % (h, p.order)
         )
     coeffs[-1] = 1.0
-    rhs = p.rhs
 
-    def mapped_rhs(z, _r=rhs, _x0=x0, _h=h, _lead=lead):
-        return _eval_checked(_r, _x0 + _h * z) / _lead
+    def mapped_rhs(z, _r=p.rhs, _x0=x0, _h=h, _lead=lead):
+        x = _x0 + _h * z
+        v = _eval_checked(_r, x) / _lead
+        if math.isinf(v):  # r(x) is finite: the division overflowed
+            raise EvaluationError("function value overflows when mapped to [0,1] at x=%.17g" % x)
+        return v
 
     bcs = [BoundaryCondition(bc.side, bc.derivative_order, v) for bc, v in zip(p.bcs, bc_values)]
     return BvpProblem(p.order, coeffs, mapped_rhs, (0.0, 1.0), bcs, p.truncation)
@@ -307,7 +318,7 @@ def uniform_grid(x0, x1, points):
     return xs
 
 
-def _diagnostics(p, solution_poly, grid=201):
+def _diagnostics(p, solution_poly):
     x0, x1 = p.domain
     derivs = [solution_poly]
     for _ in range(p.order):
@@ -317,7 +328,7 @@ def _diagnostics(p, solution_poly, grid=201):
     for a, d in zip(p.coefficients, derivs):
         for j, v in enumerate(d.coeffs):
             ly[j] += a * v
-    xs = uniform_grid(x0, x1, grid)
+    xs = uniform_grid(x0, x1, _DIAGNOSTIC_GRID)
     res_max = 0.0
     rhs_max = 0.0
     for x, lx in zip(xs, eval_grid(Polynomial(ly), xs)):

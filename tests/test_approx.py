@@ -13,7 +13,7 @@ from polybvp.approx import (
     project,
     reconstruct,
 )
-from polybvp.basis import gram_schmidt_basis
+from polybvp.basis import eval_basis, gram_schmidt_basis, legendre_basis
 from polybvp.poly import Polynomial, eval_poly
 
 
@@ -152,10 +152,37 @@ def test_project_rejects_nonfinite_values():
         project(bad, basis)
 
 
+@pytest.mark.parametrize("n", [4, 12, 30])
+def test_project_reads_the_rule_of_its_node_count(n):
+    """project(f, basis, q) for several q in turn, and the default q, give
+    the bits of a direct loop over the q-point rule, accumulated in
+    project's order: the memoized node table follows q, not just n."""
+    f = lambda x: math.exp(x) * math.sin(3.0 * x) + 1.0 / (1.0 + x)
+    basis = legendre_basis(n)
+
+    def direct(q):
+        rule = gauss_legendre_rule(q)
+        coeffs, norm_sq = [0.0] * (n + 1), 0.0
+        for x, w in zip(rule.nodes, rule.weights):
+            fx = f(x)
+            wf = w * fx
+            norm_sq += wf * fx
+            coeffs = [c + wf * v for c, v in zip(coeffs, eval_basis(basis, x))]
+        sum_sq = 0.0
+        for c in coeffs:
+            sum_sq += c * c
+        return [c.hex() for c in coeffs], math.sqrt(max(0.0, norm_sq - sum_sq)).hex()
+
+    for q in (n + 1, 32, 40, 128, None):
+        got = project(f, basis, q)
+        want = direct(max(n + 1, 32) if q is None else q)
+        assert ([c.hex() for c in got.coeffs], got.l2_error_estimate.hex()) == want, q
+
+
 def test_project_rejects_weak_rule():
     basis = gram_schmidt_basis(10)
     with pytest.raises(ValueError):
-        project(math.exp, basis, gauss_legendre_rule(5))
+        project(math.exp, basis, 5)
 
 
 def test_reconstruct_trivial_and_fixture():
@@ -217,12 +244,11 @@ def test_best_approximation_orthogonality():
     doubled-node rule) for a few smooth integrands."""
     n = 8
     basis = gram_schmidt_basis(n)
-    rule = gauss_legendre_rule(max(n + 1, 32))
-    check = gauss_legendre_rule(2 * len(rule.nodes))
-    from polybvp.basis import eval_basis
+    q = max(n + 1, 32)
+    check = gauss_legendre_rule(2 * q)
 
     for f in (math.exp, math.sin, lambda x: 1.0 / (1.0 + x)):
-        recon = reconstruct(project(f, basis, rule).coeffs, basis)
+        recon = reconstruct(project(f, basis, q).coeffs, basis)
         for k in range(n + 1):
             ip = sum(
                 w * (f(x) - eval_poly(recon, x)) * eval_basis(basis, x)[k]

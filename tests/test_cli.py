@@ -245,6 +245,19 @@ def test_solve_reports_overflow_in_one_line(tmp_path, capsys, coeffs, rhs, messa
     assert captured.err == "error: %s\n" % message
 
 
+def test_solve_rejects_an_order_past_the_double_range_in_one_line(tmp_path, capsys):
+    # (m-1)! leaves the double range for m > 171, which the endpoint rows divide by
+    text = "order = 180\ninterval = 0 1\nrhs = 1\nn = 5\n" + "".join(
+        "bc = %s %d 0\n" % ("right" if d % 2 else "left", d) for d in range(180))
+    path = write_problem(tmp_path, text)
+    rc = main(["solve", path])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: %s: problem order 180 outside supported range 1..171\n" % path)
+
+
 def test_bc_count_is_checked_before_the_order_sizes_anything(tmp_path, capsys):
     text = EX1_FILE.replace("order = 2", "order = 5000000").replace("bc = right 0 5\n", "")
     path = write_problem(tmp_path, text)
@@ -403,6 +416,16 @@ def test_approx_rejects_weak_rule(capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert "not exact" in captured.err
+
+
+@pytest.mark.parametrize("q", ["0", "-3", "129"])
+def test_approx_rejects_a_quadrature_size_out_of_range(capsys, q):
+    # the range is checked before the rule's exactness, which q = 0 would fail too
+    rc = main(["approx", "x", "--n", "10", "--q", q])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: quadrature size %s outside supported range 1..128\n" % q
 
 
 @pytest.mark.parametrize("points", [1, 0])

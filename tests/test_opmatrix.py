@@ -17,7 +17,7 @@ import pytest
 
 from polybvp.approx import gauss_legendre_rule
 from polybvp.basis import eval_basis, gram_schmidt_basis
-from polybvp.opmatrix import OperationalMatrix, build_theta
+from polybvp.opmatrix import OperationalMatrix, _transposed_power, build_theta
 
 
 def theta_times(op, v):
@@ -182,9 +182,10 @@ def theta_power_rows(tt, k):
 
 
 def test_concurrent_growth_leaves_the_serial_tables():
-    """Threads growing one empty memo to different orders leave the table
+    """Threads growing the emptied memo to different orders leave the table
     a single caller grows, entry for entry."""
     n = 12
+    _transposed_power.cache_clear()
     want = powers(OperationalMatrix(n), 9)
 
     def grow(op, k):
@@ -194,6 +195,7 @@ def test_concurrent_growth_leaves_the_serial_tables():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(100):
+            _transposed_power.cache_clear()
             op = OperationalMatrix(n)
             threads = [threading.Thread(target=grow, args=(op, k)) for k in (9, 4, 8, 2, 9, 6)]
             for t in threads:

@@ -24,12 +24,13 @@ from polybvp.approx import EvaluationError, project
 from polybvp.basis import gram_schmidt_basis, legendre_basis
 from polybvp.exprparse import ExprEvalError, compile_function
 from polybvp.linalg import LinAlgError, SingularMatrixError, solve_linear
-from polybvp.opmatrix import OperationalMatrix, build_theta
+from polybvp.opmatrix import OperationalMatrix, _transposed_power, build_theta
 from polybvp.poly import Polynomial, differentiate, eval_poly
 from polybvp.solver import (
     BoundaryCondition,
     BvpProblem,
     IllPosedProblemError,
+    MAX_ORDER,
     _gamma_split,
     _monomial_columns,
     assemble,
@@ -131,6 +132,24 @@ class TestProblemValidation:
                 BvpProblem(2, (0.0, 0.0, 1.0), lambda x: 0.0, (0.0, 1.0),
                            dirichlet(0.0, 0.0), bad)
 
+    def test_order_range_ends_where_factorials_leave_the_double_range(self):
+        """The endpoint rows divide by up to (m-1)!: the largest order's
+        factorial still converts to a double and solves with right
+        conditions, and the next order is refused by name."""
+        float(math.factorial(MAX_ORDER - 1))
+        with pytest.raises(OverflowError):
+            float(math.factorial(MAX_ORDER))
+
+        def problem(m):
+            bcs = [BoundaryCondition("right" if d % 2 else "left", d, 0.0) for d in range(m)]
+            return BvpProblem(m, [1.0] + [0.0] * (m - 1) + [1.0], lambda x: 1.0,
+                              (0.0, 1.0), bcs, 5)
+
+        assert not solve(problem(MAX_ORDER)).diverged
+        with pytest.raises(ValueError, match="^problem order %d outside supported range 1..%d$"
+                           % (MAX_ORDER + 1, MAX_ORDER)):
+            problem(MAX_ORDER + 1)
+
 
 # ------------------------------------------------------------- map_domain
 
@@ -170,8 +189,8 @@ class TestMapDomain:
 
     @pytest.mark.parametrize(
         "order, width",
-        [(9, 1e-40), (2, 1e-170), (2, 1e200), (310, 10.0)],
-        ids=["tiny-order9", "tiny-order2", "huge-order2", "bc-power-order310"],
+        [(9, 1e-40), (2, 1e-170), (2, 1e200), (171, 100.0)],
+        ids=["tiny-order9", "tiny-order2", "huge-order2", "bc-power-order171"],
     )
     def test_width_out_of_double_range_is_a_value_error(self, order, width):
         p = BvpProblem(order, (0.0,) * order + (1.0,), lambda x: 1.0, (0.0, width),
@@ -340,6 +359,7 @@ class TestAssemble:
         rng = random.Random(41 * n + orders[0])
         basis = legendre_basis(n)
         theta = OperationalMatrix(n)
+        _transposed_power.cache_clear()
         for m in orders:
             for right in (m, rng.randint(0, m)):  # all conditions right, then a mix
                 p = random_mapped_problem(rng, n, m, right=right)
@@ -643,6 +663,16 @@ class TestSolve:
         x = float(re.search(r"at x=(\S+):", str(info.value))[1])
         assert 2.0 <= x <= 3.0
         assert isinstance(info.value.__cause__, ValueError)
+
+    def test_mapped_rhs_overflow_names_the_point_in_x(self):
+        # r = 1e10 is finite; only its quotient by the mapped leading
+        # coefficient 1e-300 / 2 leaves the double range
+        p = BvpProblem(1, (0.0, 1e-300), lambda x: 1e10, (3.0, 5.0),
+                       [BoundaryCondition("left", 0, 0.0)], 5)
+        with pytest.raises(EvaluationError, match="at x=") as info:
+            solve(p)
+        x = float(re.search(r"at x=(\S+)$", str(info.value))[1])
+        assert 3.0 <= x <= 5.0
 
     def test_expression_error_keeps_its_type_and_message(self):
         # an ExprEvalError names its point and sub-expression already
