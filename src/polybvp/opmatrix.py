@@ -6,7 +6,8 @@ spill-over term (the matrix is square by construction); that truncation is
 part of the method and shows up in the solver's residual diagnostic, not
 here.  Theta is tridiagonal and comes from its closed form, no quadrature:
 Theta[0][0] = 1/2 and Theta[i][i+1] = -Theta[i+1][i] = 1/(2 sqrt((2i+1)(2i+3))).
-OperationalMatrix keeps only that band, the nonzeros of each row.
+OperationalMatrix keeps only that band, the nonzeros of each row, and the
+nonzeros of each column.
 
 Theta and its transposed powers depend on the degree alone, so both are
 memoized by lru_cache on integer keys: build_theta per degree n, and
@@ -21,9 +22,9 @@ from .poly import MAX_DEGREE
 
 
 class OperationalMatrix:
-    """Theta for degree n as its band."""
+    """Theta for degree n as its band, by rows and by columns."""
 
-    __slots__ = ("n", "band")
+    __slots__ = ("n", "band", "columns")
 
     def __init__(self, n):
         self.n = n
@@ -34,6 +35,12 @@ class OperationalMatrix:
             *(((i - 1, -s[i - 1]), (i + 1, s[i])) for i in range(1, n)),
             ((n - 1, -s[n - 1]),),
         )
+        # columns[i]: the (row, value) nonzeros of column i, ascending row
+        columns = [[] for _ in self.band]
+        for r, terms in enumerate(self.band):
+            for i, v in terms:
+                columns[i].append((r, v))
+        self.columns = tuple(map(tuple, columns))
 
     def __repr__(self):
         return "OperationalMatrix(n=%d)" % self.n
@@ -71,12 +78,8 @@ def _transposed_power(n, k):
     if k == 0:
         return tuple((i, array("d", [1.0])) for i in range(size))
     prev = _transposed_power(n, k - 1)
-    entries = [[] for _ in range(size)]
-    for r, terms in enumerate(build_theta(n).band):
-        for i, v in terms:
-            entries[i].append((r, v))
     power = []
-    for terms in entries:
+    for terms in build_theta(n).columns:
         acc = [0.0] * size
         for r, v in terms:
             j, band = prev[r]

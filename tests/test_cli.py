@@ -288,6 +288,22 @@ def test_solve_bad_bc_names_its_line(tmp_path, capsys, bc, fragment):
     assert captured.err == "error: %s:8: %s\n" % (path, fragment)
 
 
+@pytest.mark.parametrize(
+    "rhs, offset",
+    [("(" * 400 + "x" + ")" * 400, 64), ("+".join(["x"] * 2000), 127)],
+    ids=["parentheses", "sum"],
+)
+def test_solve_refuses_deep_nesting_on_its_line(tmp_path, capsys, rhs, offset):
+    path = write_problem(tmp_path, EX1_FILE.replace("rhs = exp(-x)", "rhs = " + rhs))
+    rc = main(["solve", path])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: %s:7: rhs: expression nested deeper than 64 levels at offset %d\n"
+        % (path, offset))
+
+
 def test_solve_missing_file(capsys):
     rc = main(["solve", "/no/such/problem.txt"])
     captured = capsys.readouterr()

@@ -82,6 +82,15 @@ def test_closed_form_structure(n):
             assert theta[i][j] == want, (i, j)
 
 
+@pytest.mark.parametrize("n", [1, 2, 6, 30])
+def test_columns_are_the_nonzeros_of_the_dense_columns(n):
+    op = build_theta(n)
+    dense = op.rows()
+    want = [[(r, row[i].hex()) for r, row in enumerate(dense) if row[i] != 0.0]
+            for i in range(n + 1)]
+    assert [[(r, v.hex()) for r, v in terms] for terms in op.columns] == want
+
+
 def test_double_integral_of_constant_direction():
     # Theta e0 is the first column: the coefficients of the integral of phi_0,
     # which is what Theta^2 phi(1) reduces to once the first integration
