@@ -13,17 +13,9 @@ closed: exp, sin, cos, tan, log, sqrt, abs.  Trees and parser nesting are
 bounded by MAX_DEPTH levels, so parsing, compiling, evaluating and printing
 stay far inside the interpreter's recursion limit.
 
-compile_function parses once and compiles the tree to nested closures, one
-per operator or call node, each a shared evaluator function paired with a
-tuple of what it captures.  Numbers, constants and x are folded into their
-parent, and a subtree without x that evaluates cleanly is folded to its
-value.  No Python source is generated or evaluated.  Each evaluator does its
-node's float operation and checks in the order a node-by-node walk of the
-tree does them: ** for "^", the zero-divisor test before "/", the domain
-tests of log and sqrt, and a finiteness test after every binary node.
-Evaluation raises instead of propagating non-finite values -- a singular
-right-hand side has to abort a solve loudly -- with a message that names
-the failing sub-expression and x.
+compile_function parses once and compiles the tree to nested closures; the
+compiler section below describes them.  No Python source is generated or
+evaluated.
 """
 
 from functools import partial
@@ -254,12 +246,20 @@ def pretty_print(e):
 
 # ----------------------------------------------------------------- compiler
 #
-# A closure here is explicit: an evaluator node is a tuple whose first item
-# is a shared function taking (node, x) and whose other items are what that
-# function captures -- the operation, the operands, the source text and the
-# node's path.  A tuple costs less than half of a function object with its
+# There is one closure per operator or call node.  A closure here is
+# explicit: an evaluator node is a tuple whose first item is a shared
+# function taking (node, x) and whose other items are what that function
+# captures -- the operation, the operands, the source text and the node's
+# path.  A tuple costs less than half of a function object with its
 # defaults, and the parse tree is not kept.  Operands are folded: a float is
-# a subtree without x, evaluated once here, and _X is x.  The path is a
+# a subtree without x, evaluated once here, and _X is x.
+#
+# Each evaluator does its node's float operation and checks in the order a
+# node-by-node walk of the tree does them: ** for "^", the zero-divisor test
+# before "/", the domain tests of log and sqrt, and a finiteness test after
+# every binary node.  Evaluation raises instead of propagating non-finite
+# values -- a singular right-hand side has to abort a solve loudly -- with a
+# message that names the failing sub-expression and x.  The path is a
 # binary number read after its leading 1, where 0 takes a binary node's left
 # operand and 1 its right operand or a call's or negation's argument; with
 # the source it names the node in an error message.  A domain rule broken
@@ -359,8 +359,10 @@ def _call_x(node, x):
         _fail("cannot evaluate '%s' at x=%.17g: %s", src, path, x, exc)
 
 
-# One evaluator per operand shape of a binary node (op, a, b, src, path):
-# f and g nodes, k and c floats, x the variable.
+# Evaluators of a binary node (op, a, b, src, path).  _ff takes two nodes
+# f and g and serves every operand shape; a float k or c, or x, is read in
+# place only in the shapes (k, f), (k, x) and (x, c), the ones that
+# expressions like 2*exp(3*x) and (x-3)*exp(x) are made of.
 
 
 def _ff(node, x):
@@ -378,39 +380,6 @@ def _kf(node, x):
     _, op, k, g, src, path = node
     try:
         v = op(k, g[0](g, x))
-    except _Undefined as exc:
-        _fail(exc.args[0], src, path, x)
-    if isfinite(v):
-        return v
-    _fail(_OVERFLOW, src, path, x)
-
-
-def _fk(node, x):
-    _, op, f, c, src, path = node
-    try:
-        v = op(f[0](f, x), c)
-    except _Undefined as exc:
-        _fail(exc.args[0], src, path, x)
-    if isfinite(v):
-        return v
-    _fail(_OVERFLOW, src, path, x)
-
-
-def _xf(node, x):
-    _, op, _, g, src, path = node
-    try:
-        v = op(x, g[0](g, x))
-    except _Undefined as exc:
-        _fail(exc.args[0], src, path, x)
-    if isfinite(v):
-        return v
-    _fail(_OVERFLOW, src, path, x)
-
-
-def _fx(node, x):
-    _, op, f, _, src, path = node
-    try:
-        v = op(f[0](f, x), x)
     except _Undefined as exc:
         _fail(exc.args[0], src, path, x)
     if isfinite(v):
@@ -440,10 +409,7 @@ def _xk(node, x):
     _fail(_OVERFLOW, src, path, x)
 
 
-_BINARY = {
-    ("f", "f"): _ff, ("k", "f"): _kf, ("f", "k"): _fk, ("x", "f"): _xf,
-    ("f", "x"): _fx, ("k", "x"): _kx, ("x", "k"): _xk,
-}
+_BINARY = {"kf": _kf, "kx": _kx, "xk": _xk}
 
 
 def _shape(c):
@@ -485,11 +451,11 @@ def _compile(node, src, path):
         f = (_call, fn, _node(a), src, path)
         return _fold(f) if type(a) is float else f
     a, b = _compile(node[1], src, 2 * path), _compile(node[2], src, 2 * path + 1)
-    shapes = _shape(a), _shape(b)
-    if shapes[0] == shapes[1] != "f":  # two floats, or x and x
-        f = (_ff, _OPERATIONS[tag], _node(a), _node(b), src, path)
-        return _fold(f) if shapes[0] == "k" else f
-    return (_BINARY[shapes], _OPERATIONS[tag], a, b, src, path)
+    shape = _shape(a) + _shape(b)
+    if shape in _BINARY:
+        return (_BINARY[shape], _OPERATIONS[tag], a, b, src, path)
+    f = (_ff, _OPERATIONS[tag], _node(a), _node(b), src, path)
+    return _fold(f) if shape == "kk" else f
 
 
 def compile_function(src):
