@@ -167,7 +167,11 @@ def legendre_basis(n):
 def eval_basis(basis, x):
     """phi_0(x)..phi_n(x) as a tuple, by the stable three-term recurrence
     (not monomial Horner)."""
-    n = basis.n
+    return _phi_values(basis.n, x)
+
+
+def _phi_values(n, x):
+    """eval_basis for the basis of degree n: the recurrence needs only n."""
     vals = [0.0] * (n + 1)
     p_prev = 1.0
     vals[0] = 1.0

@@ -26,11 +26,15 @@ rows <x^p, phi_k> (which the endpoint rows and the gamma columns both read),
 Theta and the bands of (Theta^T)^k.  assemble only adds a_i times those
 bands, with the same floating-point operations as the dense construction,
 and returns the system as plain row lists with the row extents its
-structure gives; solve_linear checks it once for finiteness.  The
-diagnostics fold L[y] = sum a_k y^(k) into one polynomial and evaluate it
-over the whole 201-point grid by one Horner pass (eval_grid), so
-residual_max can differ from releases that evaluated each derivative
-separately; the solution itself does not.
+structure gives; solve_linear checks it once for finiteness.
+
+solve has two halves.  solve_without_diagnostics maps, assembles, solves
+and reconstructs, and returns c, the gammas and the solution polynomial;
+the paper table reads only the polynomial and calls it alone.  The
+diagnostics then evaluate the rhs on a 201-point grid, and fold
+L[y] = sum a_k y^(k) into one polynomial evaluated over the whole grid by
+one Horner pass (eval_grid), so residual_max can differ from releases that
+evaluated each derivative separately; the solution itself does not.
 
 solve_paper_second_order keeps the closed-form second-order Dirichlet path
 (rank-one correction matrix L absorbing the boundary terms) as an internal
@@ -347,18 +351,15 @@ def _diagnostics(p, solution_poly):
     return res_max, bc_max, res_max > 1e3 * (1.0 + rhs_max)
 
 
-def _finish(p, mapped, c, gammas, basis):
-    solution_poly = _reconstruct_mapped(c, gammas, basis, mapped.order)
-    x0, x1 = p.domain
-    if (x0, x1) != (0.0, 1.0):
-        h = x1 - x0
-        solution_poly = compose_linear(solution_poly, 1.0 / h, -x0 / h)
+def _finish(p, c, gammas, solution_poly):
+    """The BvpSolution of solution_poly, with its diagnostics."""
     res_max, bc_max, diverged = _diagnostics(p, solution_poly)
     return BvpSolution(tuple(c), tuple(gammas), solution_poly, res_max, bc_max, diverged)
 
 
-def solve(p):
-    """Solve the problem; see module docstring for the scheme."""
+def solve_without_diagnostics(p):
+    """(c, gammas, solution_poly) of solve(p), bit for bit, without
+    evaluating the rhs on the diagnostics grid."""
     mapped = map_domain(p)
     n = mapped.truncation
     basis = legendre_basis(n)
@@ -379,7 +380,18 @@ def solve(p):
         gammas[j] = val
     for j, val in zip(free, x):
         gammas[j] = val
-    return _finish(p, mapped, x[len(free) :], gammas, basis)
+    c = x[len(free) :]
+    solution_poly = _reconstruct_mapped(c, gammas, basis, mapped.order)
+    x0, x1 = p.domain
+    if (x0, x1) != (0.0, 1.0):
+        h = x1 - x0
+        solution_poly = compose_linear(solution_poly, 1.0 / h, -x0 / h)
+    return c, gammas, solution_poly
+
+
+def solve(p):
+    """Solve the problem; see module docstring for the scheme."""
+    return _finish(p, *solve_without_diagnostics(p))
 
 
 def solve_paper_second_order(p):
@@ -436,4 +448,6 @@ def solve_paper_second_order(p):
             "boundary conditions leave the system singular at column %d" % exc.column
         ) from None
     gamma1 = beta - alpha - sum(ck * vk for ck, vk in zip(c, v2))
-    return _finish(p, mapped, c, [alpha, gamma1], basis)
+    gammas = [alpha, gamma1]
+    # on [0,1] the mapped polynomial is the solution
+    return _finish(p, c, gammas, _reconstruct_mapped(c, gammas, basis, 2))

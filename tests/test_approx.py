@@ -94,18 +94,16 @@ def decimal_gauss_legendre(q, digits=40):
 
 
 @pytest.mark.parametrize("q", [2, 3, 11, 16, 32, 33, 64, 128])
-def test_rule_within_one_ulp_of_correctly_rounded(q):
-    """Every node and weight within 1 ulp of a 40-digit reference, the
-    nodes nearest 0 included; the moment checks above cannot see errors
-    of tens of ulp, which cost ~4e-9 in the monomial coefficients of
-    degree-10 solutions."""
+def test_rule_is_correctly_rounded(q):
+    """Every node and weight is the float of a 40-digit reference, the
+    nodes nearest 0 included; the moment checks above cannot see errors of
+    tens of ulp, which cost ~4e-9 in the monomial coefficients of degree-10
+    solutions.  The sha256 pin below covers every other q."""
     rule = gauss_legendre_rule(q)
     ref = decimal_gauss_legendre(q)
     assert len(rule.nodes) == len(rule.weights) == q
-    for got, (want, _) in zip(rule.nodes, ref):
-        assert abs(Decimal(got) - want) <= Decimal(math.ulp(float(want))), (got, want)
-    for got, (_, want) in zip(rule.weights, ref):
-        assert abs(Decimal(got) - want) <= Decimal(math.ulp(float(want))), (got, want)
+    assert [v.hex() for v in rule.nodes] == [float(t).hex() for t, _ in ref]
+    assert [v.hex() for v in rule.weights] == [float(w).hex() for _, w in ref]
 
 
 def test_every_rule_keeps_its_bits():

@@ -8,6 +8,7 @@ import tracemalloc
 
 import pytest
 
+from polybvp import cli
 from polybvp.cli import (
     ProblemFileError,
     example_exact,
@@ -329,6 +330,23 @@ def test_paper_table_all_examples_pass(capsys):
     for r in rows:
         assert r[-1] == "PASS"
         assert float(r[2]) <= float(r[4])
+
+
+def test_paper_table_evaluates_each_rhs_only_at_its_projection_nodes(monkeypatch, capsys):
+    """The table reads only the solution polynomials, so each of its 8
+    solves evaluates the rhs at the 32 nodes of its projection and on no
+    diagnostics grid."""
+    compile_function = cli.compile_function
+    points = []
+
+    def counted(src):
+        f = compile_function(src)
+        return lambda x: points.append(x) or f(x)
+
+    monkeypatch.setattr(cli, "compile_function", counted)
+    assert main(["paper", "--example", "all"]) == 0
+    capsys.readouterr()
+    assert len(points) == 8 * 32
 
 
 # sha256 of each file `paper --example all --csv-dir` writes: the grid

@@ -20,6 +20,7 @@ import re
 
 import pytest
 
+from polybvp.cli import example_problem
 from polybvp.approx import EvaluationError, project
 from polybvp.basis import gram_schmidt_basis, legendre_basis
 from polybvp.exprparse import ExprEvalError, compile_function
@@ -37,6 +38,7 @@ from polybvp.solver import (
     map_domain,
     solve,
     solve_paper_second_order,
+    solve_without_diagnostics,
 )
 
 
@@ -751,6 +753,36 @@ class TestSolve:
                 p = BvpProblem(m, coeffs + [1.0], math.cos, (0.0, 1.0), bcs, n)
                 s = solve(p)
                 assert s.bc_residual_max <= 1e-10, (n, p.coefficients, p.bcs)
+
+    def test_solve_without_diagnostics_keeps_the_bits_of_solve(self):
+        """c, gammas and solution_poly equal solve's hex for hex: on the
+        eight paper runs, and on 45 seeded problems of orders 1..9 with
+        n <= 30, random domains, leading coefficients and rhs, and
+        conditions drawn at both ends."""
+        problems = [example_problem(k, n) for k, n in
+                    ((1, 7), (1, 10), (2, 7), (2, 12), (3, 9), (3, 11), (4, 7), (4, 10))]
+        rng = random.Random(1818)
+        for m in range(1, 10):
+            for _ in range(5):
+                n = rng.randint(1, 30)
+                # a0 != 0, so conditions on derivatives alone leave no constant free
+                coeffs = [rng.choice((-1, 1)) * rng.uniform(0.5, 3)]
+                coeffs += [rng.choice((0.0, rng.uniform(-3, 3))) for _ in range(m - 1)]
+                coeffs.append(rng.choice((1.0, rng.uniform(-2, -0.5), rng.uniform(0.5, 2))))
+                x0 = rng.uniform(-1.0, 1.0)
+                x1 = x0 + rng.uniform(0.5, 2.0)
+                w = rng.uniform(-1.5, 1.5)
+                left = rng.sample(range(m), rng.randint(0, m))
+                right = rng.sample(range(m), m - len(left))
+                bcs = [BoundaryCondition("left", d, rng.uniform(-2, 2)) for d in left]
+                bcs += [BoundaryCondition("right", d, rng.uniform(-2, 2)) for d in right]
+                problems.append(BvpProblem(m, coeffs, lambda x, w=w: math.exp(w * x) + x,
+                                           (x0, x1), bcs, n))
+        for p in problems:
+            s = solve(p)
+            c, gammas, poly = solve_without_diagnostics(p)
+            assert (hexes(c), hexes(gammas), hexes(poly.coeffs)) == (
+                hexes(s.c), hexes(s.gammas), hexes(s.solution_poly.coeffs))
 
     def test_residual_shrinks_with_truncation(self):
         """residual_max falls (plateau tolerance 2x) along n = 6, 8, 10, 12."""
